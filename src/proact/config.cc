@@ -287,8 +287,9 @@ envMultiNodePlatform(int gpus_per_node)
         0.0, 1e6);
     Tick latency = static_cast<Tick>(
         latency_us * static_cast<double>(ticksPerMicrosecond));
-    // The network tier must never undercut the intra-node latency:
-    // that is the sharded engine's conservative lookahead floor.
+    // The network tier must never undercut the intra-node latency: a
+    // cross-node transfer leaves its chassis before it rides the
+    // network (FabricSpec keeps `latency` as the fabric minimum).
     if (latency < fabric.latency)
         latency = fabric.latency;
     fabric.interLatency = latency;

@@ -243,8 +243,8 @@ bool envReprofileChargeEnabled();
  *                            [1, 400])
  *  - PROACT_INTER_LATENCY_US network-tier one-way latency in
  *                            microseconds (default 2.5; clamped up
- *                            to the intra-node latency so the
- *                            sharded engine's lookahead floor holds)
+ *                            to the intra-node latency, since a
+ *                            cross-node hop is never the faster one)
  */
 
 /** Node count from PROACT_NODES. */

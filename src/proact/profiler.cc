@@ -2,14 +2,10 @@
 
 #include "proact/runtime.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_engine.hh"
+#include "sim/run_pool.hh"
 #include "system/multi_gpu_system.hh"
 
-#include <atomic>
-#include <exception>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 namespace proact {
 
@@ -104,10 +100,10 @@ Profiler::profile(Workload &workload)
         }
     }
 
-    const int shards =
+    const int requested =
         _options.shards > 0 ? _options.shards : envSimShards();
     const std::size_t workers = std::min<std::size_t>(
-        shards > 1 && _options.sweepFactory ? shards : 1,
+        requested > 1 && _options.sweepFactory ? requested : 1,
         candidates.empty() ? 1 : candidates.size());
 
     std::vector<Tick> measured(candidates.size(), 0);
@@ -118,36 +114,17 @@ Profiler::profile(Workload &workload)
         // Each worker measures on its own workload instance (fresh
         // system per candidate as always); ticks land in sweep order
         // so the fold below is bit-identical to the serial path.
-        std::atomic<std::size_t> next{0};
-        std::exception_ptr failure;
-        std::mutex failure_mutex;
-        auto sweep_worker = [&] {
-            try {
-                auto local = _options.sweepFactory(_platform.numGpus);
-                if (!local)
-                    fatalError("Profiler: sweep factory returned "
-                               "null");
-                for (;;) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= candidates.size())
-                        break;
-                    measured[i] = measure(*local, candidates[i]);
-                }
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(failure_mutex);
-                if (!failure)
-                    failure = std::current_exception();
-            }
-        };
-        std::vector<std::thread> pool;
-        for (std::size_t w = 1; w < workers; ++w)
-            pool.emplace_back(sweep_worker);
-        sweep_worker();
-        for (std::thread &t : pool)
-            t.join();
-        if (failure)
-            std::rethrow_exception(failure);
+        runIndexed(candidates.size(), static_cast<int>(workers),
+                   [&]() -> IndexTask {
+            std::shared_ptr<Workload> local =
+                _options.sweepFactory(_platform.numGpus);
+            if (!local)
+                fatalError("Profiler: sweep factory returned null");
+            return [this, local, &measured, &candidates](
+                       std::size_t i) {
+                measured[i] = measure(*local, candidates[i]);
+            };
+        });
     }
 
     for (std::size_t i = 0; i < candidates.size(); ++i) {

@@ -13,7 +13,6 @@
 #include "proact/region.hh"
 #include "proact/transfer_agent.hh"
 #include "sim/random.hh"
-#include "sim/sharded_engine.hh"
 #include "system/platform.hh"
 
 #include "sim/logging.hh"
@@ -21,8 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -309,14 +306,12 @@ INSTANTIATE_TEST_SUITE_P(Cases, Dgx2FaultFuzz,
                          ::testing::Range<std::uint64_t>(0u, 24u));
 
 /**
- * Seeded cross-shard fault fuzz: random pairwise topologies under the
- * sharded execution engine, with mixed device-loss and link-flap
- * campaigns. Every case must drain with zero leaked flights and zero
- * orphaned retries on every sender, and the full counter tuple must
- * be identical at 1, 2 and 4 shards — retries, reroute relays and the
- * device quiesce are exactly the paths that cross shards.
+ * Seeded pairwise-topology fault fuzz: random 2..8-GPU pairwise-links
+ * machines under mixed device-loss and link-flap campaigns. Every
+ * case must drain with zero leaked flights and zero orphaned retries,
+ * and a replay must reproduce the full counter tuple.
  */
-class ShardedFaultFuzz
+class PairwiseFaultFuzz
     : public ::testing::TestWithParam<std::uint64_t>
 {
   protected:
@@ -329,21 +324,19 @@ class ShardedFaultFuzz
     }
 };
 
-TEST_P(ShardedFaultFuzz, CrossShardFaultsLeaveNoFlightsOrRetries)
+TEST_P(PairwiseFaultFuzz, FaultsLeaveNoFlightsOrRetries)
 {
-    auto run_once = [](std::uint64_t seed, int shards) {
-        // Random topology: 2..8 GPUs on a pairwise-links machine so
-        // the sharded engine engages (shared ports degrade serial).
+    auto run_once = [](std::uint64_t seed) {
         Rng topo(deriveSeed(seed, 0x10b0u));
         const int gpus = 2 + static_cast<int>(topo.below(7));
         PlatformSpec platform = voltaPlatform().withGpuCount(gpus);
         platform.fabric.topology = FabricTopology::PairwiseLinks;
 
-        MultiGpuSystem system(platform, shards);
-        EXPECT_TRUE(system.sharded()) << shards << " shards";
+        MultiGpuSystem system(platform);
         system.setFunctional(false);
         system.enableHealth();
         system.enableReroute();
+        system.fabric().setRebooking(true);
         system.enableDeviceHealth({});
 
         LinkLifecycleOptions flaps;
@@ -358,17 +351,12 @@ TEST_P(ShardedFaultFuzz, CrossShardFaultsLeaveNoFlightsOrRetries)
         plan.downGpu(death, maxTick, victim);
         system.installFaults(std::move(plan));
 
-        // Delivery callbacks fire on the destination's shard, so all
-        // shared progress state is atomic; the last-delivery tick is
-        // a max over completions (an N-invariant quantity, unlike
-        // "the tick of whichever callback ran last").
         StatSet stats;
-        std::atomic<int> deliveries{0};
-        std::atomic<Tick> last{0};
+        int deliveries = 0;
+        Tick last = 0;
         TransferAgent::Context ctx;
         ctx.system = &system;
         ctx.gpuId = 0;
-        ctx.queue = &system.queueFor(0);
         ctx.config.mechanism = TransferMechanism::Polling;
         ctx.config.chunkBytes = 64 * KiB;
         ctx.config.transferThreads = 2048;
@@ -376,40 +364,15 @@ TEST_P(ShardedFaultFuzz, CrossShardFaultsLeaveNoFlightsOrRetries)
         ctx.config.retry.maxAttempts = 6;
         ctx.config.retry.rerouteAfterAttempts = 2;
         ctx.stats = &stats;
-        ctx.onDelivered = [&deliveries, &last](std::uint64_t) {
-            deliveries.fetch_add(1, std::memory_order_relaxed);
-            const Tick now =
-                ShardedEventEngine::currentQueue()->curTick();
-            Tick seen = last.load(std::memory_order_relaxed);
-            while (seen < now &&
-                   !last.compare_exchange_weak(
-                       seen, now, std::memory_order_relaxed)) {
-            }
+        ctx.onDelivered = [&deliveries, &last,
+                           &system](std::uint64_t) {
+            ++deliveries;
+            last = system.now();
         };
         PollingAgent agent(ctx);
 
-        // Chained relay hops must be submitted from the relay's own
-        // shard; the runtime installs these per-GPU forwarding
-        // senders itself, a direct-system test has to follow suit.
-        std::vector<StatSet> hop_stats(
-            static_cast<std::size_t>(gpus));
-        std::vector<std::unique_ptr<RetryingSender>> hop_senders;
-        std::vector<Rerouter::Submit> submitters;
-        for (int g = 0; g < gpus; ++g) {
-            hop_senders.push_back(std::make_unique<RetryingSender>(
-                system.queueFor(g), system.fabric(),
-                ctx.config.retry,
-                &hop_stats[static_cast<std::size_t>(g)], nullptr));
-            RetryingSender *hs = hop_senders.back().get();
-            submitters.push_back(
-                [hs](const Interconnect::Request &leg) {
-                    return hs->send(leg);
-                });
-        }
-        system.rerouter()->setHopSubmitters(std::move(submitters));
-
         const int chunks = 6;
-        auto &eq = system.queueFor(0);
+        auto &eq = system.eventQueue();
         for (int c = 0; c < chunks; ++c) {
             eq.schedule(
                 static_cast<Tick>(c) * 40 * ticksPerMicrosecond,
@@ -425,46 +388,25 @@ TEST_P(ShardedFaultFuzz, CrossShardFaultsLeaveNoFlightsOrRetries)
 
         // Zero leaked flights and zero orphaned retries: every
         // submission was delivered, refused, quiesced or given up —
-        // and every sender's in-flight ledger returned to zero.
+        // and the sender's in-flight ledger returned to zero.
         EXPECT_EQ(fabric.numTrackedFlights(), 0u) << "seed " << seed;
         EXPECT_EQ(agent.sender().inFlight(), 0u) << "seed " << seed;
-        for (int g = 0; g < gpus; ++g) {
-            EXPECT_EQ(hop_senders[static_cast<std::size_t>(g)]
-                          ->inFlight(),
-                      0u)
-                << "seed " << seed << " hop sender " << g;
-        }
 
         // Survivors deliver at most exactly-once.
-        EXPECT_LE(deliveries.load(), chunks * (gpus - 1))
-            << "seed " << seed;
+        EXPECT_LE(deliveries, chunks * (gpus - 1)) << "seed " << seed;
 
-        double hop_retried = 0.0;
-        double hop_orphaned = 0.0;
-        for (const StatSet &hs : hop_stats) {
-            hop_retried += hs.get("transfers.retried");
-            hop_orphaned += hs.get("transfers.orphaned");
-        }
         return std::make_tuple(
-            gpus, victim, last.load(), deliveries.load(),
+            gpus, victim, last, deliveries,
             stats.get("transfers.retried"),
-            stats.get("transfers.orphaned"), hop_retried,
-            hop_orphaned, fabric.refusedDeliveries(),
-            fabric.quiescedFlights(),
+            stats.get("transfers.orphaned"),
+            fabric.refusedDeliveries(), fabric.quiescedFlights(),
             system.deviceHealth()->transitions().size());
     };
 
-    // The 1-shard engine is the reference; higher shard counts and a
-    // straight replay must reproduce its tuple exactly.
-    const auto ref = run_once(caseSeed(), 1);
-    EXPECT_EQ(ref, run_once(caseSeed(), 2))
-        << "case " << GetParam() << " diverged at 2 shards";
-    EXPECT_EQ(ref, run_once(caseSeed(), 4))
-        << "case " << GetParam() << " diverged at 4 shards";
-    EXPECT_EQ(ref, run_once(caseSeed(), 1))
-        << "case " << GetParam()
-        << " did not replay deterministically";
+    const auto ref = run_once(caseSeed());
+    EXPECT_EQ(ref, run_once(caseSeed()))
+        << "case " << GetParam() << " did not replay deterministically";
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, ShardedFaultFuzz,
+INSTANTIATE_TEST_SUITE_P(Cases, PairwiseFaultFuzz,
                          ::testing::Range<std::uint64_t>(0u, 24u));

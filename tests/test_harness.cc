@@ -4,11 +4,14 @@
  */
 
 #include "harness/session.hh"
+#include "tests/small_workloads.hh"
 #include "tests/toy_workload.hh"
 
 #include "sim/logging.hh"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 using namespace proact;
 using proact::test::ToyWorkload;
@@ -134,4 +137,42 @@ TEST(Session, SingleGpuTicksUsesOneGpu)
     };
     EXPECT_GT(session.singleGpuTicks(factory), 0u);
     EXPECT_EQ(seen_gpus, 1);
+}
+
+TEST(Session, CompareParadigmsBitIdenticalUnderEnvSweepWorkers)
+{
+    // PROACT_SIM_SHARDS > 1 fans the profiler sweep out over worker
+    // threads; every summary number must stay untouched (the
+    // simulator is deterministic; the knob only adds workers).
+    const WorkloadFactory factory = [](int gpus) {
+        auto workload = test::makeSmallWorkload("Jacobi");
+        workload->setup(gpus);
+        return workload;
+    };
+
+    Profiler::Options quick;
+    quick.chunkSizes = {64 * KiB, 128 * KiB};
+    quick.threadCounts = {2048};
+    quick.profileIterations = 1;
+
+    Session session(voltaPlatform());
+    unsetenv("PROACT_SIM_SHARDS");
+    const auto serial =
+        session.compareParadigms(factory, /*functional=*/false, quick);
+    setenv("PROACT_SIM_SHARDS", "4", 1);
+    const auto parallel =
+        session.compareParadigms(factory, /*functional=*/false, quick);
+    unsetenv("PROACT_SIM_SHARDS");
+
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].paradigm, parallel[i].paradigm);
+        EXPECT_EQ(serial[i].ticks, parallel[i].ticks)
+            << paradigmName(serial[i].paradigm);
+        EXPECT_DOUBLE_EQ(serial[i].speedup, parallel[i].speedup);
+        EXPECT_EQ(serial[i].wireBytes, parallel[i].wireBytes);
+        EXPECT_EQ(serial[i].payloadBytes, parallel[i].payloadBytes);
+        EXPECT_EQ(serial[i].storeTransactions,
+                  parallel[i].storeTransactions);
+    }
 }
