@@ -93,9 +93,10 @@ runOnce(const std::string &app, std::uint64_t scale, Tick down_at,
         system.enableReroute();
     }
     if (reprofile) {
+        // The sweep profiles the run's own input, as Session::run does:
+        // a config tuned for another footprint can lose to retry-only.
         auto factory = [&](int gpus) {
-            auto w = makeScaledWorkload(app, gpus, 1);
-            return w;
+            return makeScaledWorkload(app, gpus, scale);
         };
         reprofiler = std::make_unique<AdaptiveReprofiler>(
             system, factory, baseConfig());

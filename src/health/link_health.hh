@@ -156,23 +156,6 @@ class LinkHealthMonitor : public LinkStateProvider
         return ewmaQueueRatio(src, dst);
     }
 
-    /**
-     * Bumped once per state transition (== transitions().size()), so
-     * route caches keyed on it revalidate exactly when the observed
-     * topology changed shape.
-     */
-    std::uint64_t healthEpoch() const override { return _epoch; }
-
-    /** Transition count of one directed link. */
-    std::uint64_t linkEpoch(int src, int dst) const override;
-
-    /**
-     * Row/column epoch signature: transitions of any link leaving
-     * @p src or entering @p dst change it; transitions elsewhere
-     * don't. Plans cached per pair stay valid across unrelated
-     * flapping, which on a 16-GPU fabric is most of it.
-     */
-    std::uint64_t routeEpoch(int src, int dst) const override;
     /** @} */
 
     /**
@@ -269,9 +252,6 @@ class LinkHealthMonitor : public LinkStateProvider
         /** Holdoff bookkeeping (see HealthPolicy::transitionHoldoff). */
         Tick lastTransition = 0;
         bool everTransitioned = false;
-
-        /** Transition count of this link (linkEpoch). */
-        std::uint32_t epoch = 0;
     };
 
     EventQueue &_eq;
@@ -279,9 +259,6 @@ class LinkHealthMonitor : public LinkStateProvider
     Interconnect::ObserverHandle _observerHandle = 0;
     HealthPolicy _policy;
     StatSet _stats;
-    std::uint64_t _epoch = 0;
-    std::vector<std::uint32_t> _rowEpoch;
-    std::vector<std::uint32_t> _colEpoch;
     std::vector<Link> _links;
     std::vector<Listener> _listeners;
     std::vector<Transition> _transitions;

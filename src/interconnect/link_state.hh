@@ -13,7 +13,6 @@
 #ifndef PROACT_INTERCONNECT_LINK_STATE_HH
 #define PROACT_INTERCONNECT_LINK_STATE_HH
 
-#include <cstdint>
 #include <string>
 
 namespace proact {
@@ -109,45 +108,6 @@ class LinkStateProvider
         (void)src;
         (void)dst;
         return 0.0;
-    }
-
-    /**
-     * Monotonic counter bumped on every link-state transition.
-     * Routing layers key plan caches on it: while the epoch is
-     * unchanged, every linkState() answer is unchanged too, so a
-     * cached route stays valid. Providers whose classification can
-     * change over time must override this; the default (a constant)
-     * is only correct for providers frozen at construction.
-     */
-    virtual std::uint64_t healthEpoch() const { return 0; }
-
-    /**
-     * Transition count of one directed link. A plan computed while
-     * its direct link was HEALTHY read nothing else, so it stays
-     * valid exactly until this changes. Static default: 0, never
-     * changes.
-     */
-    virtual std::uint64_t
-    linkEpoch(int src, int dst) const
-    {
-        (void)src;
-        (void)dst;
-        return 0;
-    }
-
-    /**
-     * Epoch of everything a route plan for src -> dst can depend on.
-     * A plan only reads links leaving @p src or entering @p dst, so a
-     * provider that versions its rows and columns lets cached plans
-     * for unrelated pairs survive a transition elsewhere. The static
-     * default (0, never changes) suits fixed-state providers.
-     */
-    virtual std::uint64_t
-    routeEpoch(int src, int dst) const
-    {
-        (void)src;
-        (void)dst;
-        return 0;
     }
 };
 

@@ -1,35 +1,80 @@
 #include "interconnect/rerouter.hh"
 
-#include "sim/logging.hh"
-
 #include <algorithm>
+#include <limits>
 #include <memory>
-#include <queue>
-#include <tuple>
 
 namespace proact {
+
+namespace {
+
+/** Don't split payloads smaller than this. */
+constexpr std::uint64_t minSplitBytes = 4 * KiB;
+
+/**
+ * Relay paths consume wire on two links; a single relay's
+ * residual-bandwidth score is multiplied by this once before it
+ * competes with the direct link. Multi-relay chains are a last-resort
+ * fallback and are not scored.
+ */
+constexpr double relayDiscount = 0.5;
+
+/**
+ * How many single-relay candidates a detour or split fans out
+ * across. On a DGX-2 a dead pair leaves 14 healthy relays; spreading
+ * the payload over several of them multiplies the detour bandwidth
+ * instead of hammering one relay's wires.
+ */
+constexpr int maxRelayFanout = 4;
+
+/**
+ * A relay only joins a DEGRADED-link split when its discounted
+ * bottleneck score beats the direct residual by this factor. A relay
+ * leg consumes egress wire at the source AND at the relay, so a
+ * marginal win is a real loss — notably when the whole fabric
+ * degrades uniformly (a dead NVSwitch plane) and momentarily-healthy
+ * relay legs would otherwise siphon payload onto equally-degraded
+ * wires and congest them further. The split stays reserved for severe
+ * degradation, where the direct link is nearly useless; DOWN-link
+ * detours are unaffected.
+ */
+constexpr double relayAdvantage = 2.0;
+
+/**
+ * Staleness tolerance for cached relay plans. A wire transition a
+ * plan read always evicts it (its shape may be wrong); drift in
+ * *relay* conditions — endpoint congestion flapping links between
+ * HEALTHY and CONGESTED — only re-weights split fractions, so a relay
+ * plan tolerates it for up to this long before recomputing.
+ */
+constexpr Tick planTtl = 200 * ticksPerMicrosecond;
+
+/**
+ * Spread-don't-detour: a CONGESTED link is never by itself a reason
+ * to leave the direct route (the backlog drains when the competing
+ * flows do), but when a DOWN or DEGRADED link forces a relay fan-out,
+ * each congested relay leg multiplies the relay's score by this
+ * factor so payload spreads toward quiet relays first without
+ * abandoning congested ones. 1.0 would make scoring congestion-blind.
+ */
+constexpr double congestedPenalty = 0.5;
+
+static_assert(relayDiscount > 0.0 && relayDiscount <= 1.0);
+static_assert(Rerouter::maxRelayHops >= 1);
+static_assert(maxRelayFanout >= 1);
+static_assert(congestedPenalty > 0.0 && congestedPenalty <= 1.0);
+static_assert(planTtl > 0);
+
+} // namespace
 
 Rerouter::Rerouter(EventQueue &eq, Interconnect &fabric,
                    const LinkStateProvider &health,
                    ReroutePolicy policy)
     : _eq(eq), _fabric(fabric), _health(health), _policy(policy)
 {
-    if (_policy.relayDiscount <= 0.0 || _policy.relayDiscount > 1.0)
-        fatalError("Rerouter: relayDiscount must be in (0, 1]");
-    if (_policy.maxRelayHops < 1)
-        fatalError("Rerouter: maxRelayHops must be positive");
-    if (_policy.maxRelayFanout < 1)
-        fatalError("Rerouter: maxRelayFanout must be positive");
-    if (_policy.congestedPenalty <= 0.0 ||
-        _policy.congestedPenalty > 1.0) {
-        fatalError("Rerouter: congestedPenalty must be in (0, 1]");
-    }
-
     const std::size_t pairs =
         static_cast<std::size_t>(fabric.numGpus()) * fabric.numGpus();
     _cachedPlans.resize(pairs);
-    _cachedLinkEpochs.assign(pairs, 0);
-    _cachedRouteEpochs.assign(pairs, 0);
     _cachedTicks.assign(pairs, 0);
     _cacheDirectOnly.assign(pairs, 0);
     _cacheValid.assign(pairs, 0);
@@ -48,7 +93,7 @@ Rerouter::congestionWeight(int src, int dst) const
     if (_health.linkState(src, dst) != LinkState::Congested)
         return 1.0;
     if (!_policy.queueWeightedCongestion)
-        return _policy.congestedPenalty;
+        return congestedPenalty;
     return 1.0 / (1.0 + _health.queueRatio(src, dst));
 }
 
@@ -61,7 +106,7 @@ Rerouter::scoredRelays(int src, int dst, bool *used_foreign) const
     const auto score = [this](int s, int k, int d) {
         double v = std::min(_health.residualFraction(s, k),
                             _health.residualFraction(k, d))
-            * _policy.relayDiscount;
+            * relayDiscount;
         // Spread-don't-detour: congested relay legs keep their full
         // residual (the wire is fine) but score lower, so the fan-out
         // leans toward quiet relays instead of piling onto a port
@@ -138,108 +183,67 @@ Rerouter::relayCandidates(int src, int dst) const
 }
 
 std::vector<int>
-Rerouter::bfsVias(int src, int dst) const
+Rerouter::relayChain(int src, int dst) const
 {
     const int n = _fabric.numGpus();
-    const int max_edges = _policy.maxRelayHops + 1;
+    const int max_edges = maxRelayHops + 1;
+    constexpr int unreachable = std::numeric_limits<int>::max();
 
-    if (_fabric.spec().multiNode()) {
-        // Lexicographic (network hops, edges) shortest path: a chain
-        // that crosses the node boundary twice is never preferred
-        // over one that crosses once, no matter how many chassis hops
-        // the in-node portion takes within the maxRelayHops bound.
-        // Strict-improvement relaxation with the heap keyed
-        // (cost, node id) and neighbours visited in id order is fully
-        // deterministic — replays stay tick-for-tick identical.
-        struct Cost
-        {
-            int inter;
-            int edges;
-        };
-        std::vector<Cost> best(n, Cost{n + 1, n + 1});
-        std::vector<int> parent(n, -1);
-        using Key = std::tuple<int, int, int>;
-        std::priority_queue<Key, std::vector<Key>,
-                            std::greater<Key>> heap;
-        best[src] = Cost{0, 0};
-        heap.push({0, 0, src});
-        while (!heap.empty()) {
-            const auto [ci, ce, node] = heap.top();
-            heap.pop();
-            if (ci != best[node].inter || ce != best[node].edges)
+    // Lexicographic (network hops, edges) shortest chain within the
+    // edge bound: a chain that crosses the node boundary twice is
+    // never preferred over one that crosses once, no matter how many
+    // chassis hops the in-node portion takes. Layer e holds, per
+    // node, the fewest network hops of any walk of exactly e edges
+    // from src; the answer is the fewest-hops layer at dst, earliest
+    // on ties. That walk is a simple chain (cutting a cycle would
+    // drop edges without adding network hops). Layering, rather than
+    // one best cost per node, keeps the bound exact: the fewest-hops
+    // way into a node may be too long to still reach dst in time.
+    // On a single node every hop count is 0 and this is the
+    // fewest-edges chain. Each node keeps its lowest-id best
+    // predecessor, so replays stay tick-for-tick identical.
+    const auto at = [n](int e, int node) {
+        return static_cast<std::size_t>(e) * n + node;
+    };
+    std::vector<int> hops(at(max_edges + 1, 0), unreachable);
+    std::vector<int> parent(hops.size(), -1);
+    hops[at(0, src)] = 0;
+    int best = 0;
+    for (int e = 1; e <= max_edges; ++e) {
+        for (int u = 0; u < n; ++u) {
+            if (hops[at(e - 1, u)] == unreachable)
                 continue;
-            if (node == dst)
-                break;
-            if (ce >= max_edges)
-                continue;
-            for (int next = 0; next < n; ++next) {
-                if (next == node)
-                    continue;
-                if (_health.linkState(node, next) == LinkState::Down)
-                    continue;
-                const int ninter =
-                    ci + (_fabric.interNodePair(node, next) ? 1 : 0);
-                const int nedges = ce + 1;
-                if (ninter > best[next].inter ||
-                    (ninter == best[next].inter &&
-                     nedges >= best[next].edges)) {
+            for (int v = 0; v < n; ++v) {
+                if (v == u ||
+                    _health.linkState(u, v) == LinkState::Down) {
                     continue;
                 }
-                best[next] = Cost{ninter, nedges};
-                parent[next] = node;
-                heap.push({ninter, nedges, next});
+                const int h = hops[at(e - 1, u)]
+                    + (_fabric.interNodePair(u, v) ? 1 : 0);
+                if (h < hops[at(e, v)]) {
+                    hops[at(e, v)] = h;
+                    parent[at(e, v)] = u;
+                }
             }
         }
-        if (parent[dst] < 0)
-            return {};
-        std::vector<int> vias;
-        for (int node = parent[dst]; node != src;
-             node = parent[node]) {
-            vias.push_back(node);
-        }
-        std::reverse(vias.begin(), vias.end());
-        return vias;
+        if (hops[at(e, dst)] < hops[at(best, dst)])
+            best = e;
+        if (hops[at(best, dst)] == 0)
+            break; // Nothing beats zero network hops.
     }
-
-    // Shortest path over non-DOWN links, visiting neighbours in id
-    // order so the first path found is the lexicographically smallest
-    // among the shortest — deterministic across replays.
-    std::vector<int> parent(n, -1);
-    std::vector<int> dist(n, -1);
-    std::queue<int> frontier;
-    dist[src] = 0;
-    frontier.push(src);
-
-    while (!frontier.empty()) {
-        const int node = frontier.front();
-        frontier.pop();
-        if (node == dst)
-            break;
-        if (dist[node] >= max_edges)
-            continue;
-        for (int next = 0; next < n; ++next) {
-            if (next == node || dist[next] >= 0)
-                continue;
-            if (_health.linkState(node, next) == LinkState::Down)
-                continue;
-            dist[next] = dist[node] + 1;
-            parent[next] = node;
-            frontier.push(next);
-        }
-    }
-
-    if (dist[dst] < 0 || dist[dst] > max_edges)
+    if (best == 0)
         return {};
     std::vector<int> vias;
-    for (int node = parent[dst]; node != src; node = parent[node])
+    for (int e = best, node = parent[at(best, dst)]; e > 1; --e) {
         vias.push_back(node);
+        node = parent[at(e - 1, node)];
+    }
     std::reverse(vias.begin(), vias.end());
     return vias;
 }
 
 std::vector<double>
-Rerouter::splitFractions(const std::vector<double> &weights,
-                         double min_fraction)
+Rerouter::splitFractions(const std::vector<double> &weights)
 {
     std::vector<double> fractions(weights.size(), 0.0);
     double total = 0.0;
@@ -252,7 +256,7 @@ Rerouter::splitFractions(const std::vector<double> &weights,
     // survivors; the heaviest leg always survives.
     std::vector<char> keep(weights.size(), 1);
     for (std::size_t i = 0; i < weights.size(); ++i)
-        keep[i] = weights[i] / total >= min_fraction ? 1 : 0;
+        keep[i] = weights[i] / total >= minSplitFraction ? 1 : 0;
     const std::size_t heaviest = static_cast<std::size_t>(
         std::max_element(weights.begin(), weights.end())
         - weights.begin());
@@ -291,8 +295,8 @@ Rerouter::computePlan(int src, int dst,
     // plan now depends on both tiers.
     if (multi && (tier_mask == kTierInter || foreign))
         tier_mask = kTierIntra | kTierInter;
-    if (static_cast<int>(relays.size()) > _policy.maxRelayFanout)
-        relays.resize(static_cast<std::size_t>(_policy.maxRelayFanout));
+    if (static_cast<int>(relays.size()) > maxRelayFanout)
+        relays.resize(static_cast<std::size_t>(maxRelayFanout));
 
     if (direct == LinkState::Down) {
         if (relays.empty()) {
@@ -300,10 +304,10 @@ Rerouter::computePlan(int src, int dst,
             // two-hop detour): fall back to the shortest multi-relay
             // chain the health-filtered topology still offers.
             if (multi) {
-                // The BFS scans the whole health-filtered graph.
+                // The search scans the whole health-filtered graph.
                 tier_mask = kTierIntra | kTierInter;
             }
-            std::vector<int> vias = bfsVias(src, dst);
+            std::vector<int> vias = relayChain(src, dst);
             if (vias.empty())
                 return {Leg{{}, 1.0}}; // No path: direct + retry.
             return {Leg{std::move(vias), 1.0}};
@@ -311,8 +315,7 @@ Rerouter::computePlan(int src, int dst,
         std::vector<double> weights;
         for (const auto &[id, score] : relays)
             weights.push_back(score);
-        const auto fractions =
-            splitFractions(weights, _policy.minSplitFraction);
+        const auto fractions = splitFractions(weights);
         std::vector<Leg> legs;
         for (std::size_t i = 0; i < relays.size(); ++i) {
             if (fractions[i] > 0.0)
@@ -330,8 +333,7 @@ Rerouter::computePlan(int src, int dst,
     // and the plan stays direct.
     const double residual = _health.residualFraction(src, dst);
     while (!relays.empty() &&
-           relays.back().second
-               <= residual * _policy.relayAdvantage) {
+           relays.back().second <= residual * relayAdvantage) {
         relays.pop_back();
     }
     if (relays.empty())
@@ -339,8 +341,7 @@ Rerouter::computePlan(int src, int dst,
     std::vector<double> weights{residual};
     for (const auto &[id, score] : relays)
         weights.push_back(score);
-    const auto fractions =
-        splitFractions(weights, _policy.minSplitFraction);
+    const auto fractions = splitFractions(weights);
 
     std::vector<Leg> legs;
     if (fractions[0] > 0.0)
@@ -362,38 +363,13 @@ Rerouter::plan(int src, int dst) const
     const std::size_t idx =
         static_cast<std::size_t>(src) * _fabric.numGpus() + dst;
 
+    // Wire transitions already evicted every plan they touched, so a
+    // set valid flag is authoritative. Relay plans still refresh on
+    // the TTL so split weights track slow drift (congestion flips
+    // don't evict by design).
     bool valid = _cacheValid.at(idx);
-    if (_pushInvalidation) {
-        // Push mode: wire transitions already evicted everything they
-        // touched, so a set valid flag is authoritative — no provider
-        // epoch reads at all on the send path. Relay plans still
-        // refresh on the TTL so split weights track slow drift
-        // (congestion flips don't evict by design).
-        if (valid && !_cacheDirectOnly[idx] && _policy.planTtl > 0) {
-            valid =
-                _eq.curTick() - _cachedTicks[idx] < _policy.planTtl;
-        }
-    } else if (valid) {
-        _stats.inc("reroute.epoch_reads");
-        if (_health.linkEpoch(src, dst) != _cachedLinkEpochs[idx]) {
-            // The direct link changed state: the plan's shape (direct
-            // vs detour vs split) is wrong, not just its weights.
-            // Always recompute.
-            valid = false;
-        } else if (!_cacheDirectOnly[idx]) {
-            _stats.inc("reroute.epoch_reads");
-            if (_health.routeEpoch(src, dst)
-                    != _cachedRouteEpochs[idx]) {
-                // Only relay conditions drifted: tolerate the stale
-                // split weights for up to planTtl before recomputing,
-                // so endpoint congestion flapping relay links can't
-                // force a recompute per transfer.
-                valid = _policy.planTtl > 0
-                    && _eq.curTick() - _cachedTicks[idx]
-                           < _policy.planTtl;
-            }
-        }
-    }
+    if (valid && !_cacheDirectOnly[idx])
+        valid = _eq.curTick() - _cachedTicks[idx] < planTtl;
 
     if (valid) {
         _stats.inc("reroute.plan_cache_hits");
@@ -404,18 +380,13 @@ Rerouter::plan(int src, int dst) const
         _cacheTierMask[idx] = tier_mask;
         // A plan computed on a HEALTHY or CONGESTED direct link read
         // nothing but that link; marking it direct-only exempts it
-        // from the routeEpoch check (and from push row/column
-        // eviction) so relay flapping elsewhere in its row/column
-        // can't evict it.
+        // from the TTL and from row/column eviction so relay flapping
+        // elsewhere in its row/column can't evict it.
         const LinkState direct = _health.linkState(src, dst);
         _cacheDirectOnly[idx] = (direct == LinkState::Healthy ||
                                  direct == LinkState::Congested)
                                     ? 1
                                     : 0;
-        if (!_pushInvalidation) {
-            _cachedLinkEpochs[idx] = _health.linkEpoch(src, dst);
-            _cachedRouteEpochs[idx] = _health.routeEpoch(src, dst);
-        }
         _cachedTicks[idx] = _eq.curTick();
         _cacheValid[idx] = 1;
     }
@@ -423,22 +394,9 @@ Rerouter::plan(int src, int dst) const
 }
 
 void
-Rerouter::enablePushInvalidation()
-{
-    if (_pushInvalidation)
-        return;
-    _pushInvalidation = true;
-    // Epoch-keyed entries were validated against a provider we will
-    // no longer consult; start push mode from an empty cache.
-    std::fill(_cacheValid.begin(), _cacheValid.end(), 0);
-}
-
-void
 Rerouter::onLinkTransition(int src, int dst, LinkState from,
                            LinkState to)
 {
-    if (!_pushInvalidation)
-        return;
     if (!isWireTransition(from, to)) {
         // HEALTHY <-> CONGESTED: every cached plan is still the plan
         // we would compute (congestion never changes a plan's shape,
@@ -458,7 +416,7 @@ Rerouter::onLinkTransition(int src, int dst, LinkState from,
     // tier mask narrows that further on multi-node fabrics: a relay
     // plan that never read the transitioned link's tier (an in-node
     // detour vs a network-tier flap, or vice versa) kept no stale
-    // state, so cross-node epochs invalidate independently of
+    // state, so cross-node flaps invalidate independently of
     // intra-node ones.
     const unsigned char bit = tierBit(src, dst);
     for (int d = 0; d < n; ++d) {
@@ -525,7 +483,7 @@ Rerouter::send(const Submit &submit, Interconnect::Request req)
     // Payloads too small to split ride the best single leg whole:
     // the direct link on a DEGRADED split (legs[0]), the best relay
     // on a DOWN fan-out.
-    if (legs.size() > 1 && req.bytes < _policy.minSplitBytes)
+    if (legs.size() > 1 && req.bytes < minSplitBytes)
         legs = {Leg{legs[0].vias, 1.0}};
 
     if (legs.size() == 1 && legs[0].direct()) {

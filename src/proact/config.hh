@@ -132,7 +132,7 @@ std::vector<std::uint32_t> threadCountSweep();
  *                               changes (implies health monitoring)
  *  - PROACT_REROUTE_QUEUE_WEIGHT=0/1 weight CONGESTED legs by
  *                               1/(1 + queueDelay ratio) instead of
- *                               the flat congestedPenalty, so
+ *                               the rerouter's flat discount, so
  *                               sustained multi-tenant hotspots
  *                               spread proportionally (default 0)
  *
@@ -177,9 +177,11 @@ bool envRerouteEnabled();
 bool envReprofileEnabled();
 
 /**
- * Route-selection knobs from the environment: library defaults with
- * PROACT_REROUTE_QUEUE_WEIGHT applied (queueing-theoretic congestion
- * split instead of the flat congestedPenalty discount).
+ * Route-selection knobs from the environment: ReroutePolicy's one
+ * field, queueWeightedCongestion, from PROACT_REROUTE_QUEUE_WEIGHT
+ * (queueing-theoretic congestion split instead of the rerouter's flat
+ * congested-leg discount). Every other routing threshold is a fixed
+ * constant of the Rerouter.
  */
 ReroutePolicy envReroutePolicy();
 

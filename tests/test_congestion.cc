@@ -131,8 +131,6 @@ TEST(CongestionTest, PureCongestionIsNotAWireFault)
     EXPECT_EQ(rr.stats().get("reroute.plan_computes"), computes_warm);
     EXPECT_EQ(rr.stats().get("reroute.detours"), 0.0);
     EXPECT_EQ(rr.stats().get("reroute.splits"), 0.0);
-    // Push mode: quiet-fabric lookups never read provider epochs.
-    EXPECT_EQ(rr.stats().get("reroute.epoch_reads"), 0.0);
 }
 
 TEST(CongestionTest, EqualMagnitudeWireFaultTripsDegradedAndReroutes)
@@ -315,11 +313,10 @@ TEST(CongestionTest, CongestionClearsWithoutDisturbingPlansOrProfiles)
     EXPECT_EQ(mon.stats().get("health.wire_transitions"), 0.0);
 
     // The whole congestion episode caused zero plan churn and never
-    // dirtied the reprofiler: no recompute, no sweep, no epoch read.
+    // dirtied the reprofiler: no recompute, no sweep.
     EXPECT_EQ(rr.stats().get("reroute.plan_computes"), computes_warm);
     EXPECT_EQ(rr.stats().get("reroute.push_invalidations"), 0.0);
     EXPECT_GE(rr.stats().get("reroute.push_ignored"), 2.0);
-    EXPECT_EQ(rr.stats().get("reroute.epoch_reads"), 0.0);
     EXPECT_FALSE(reprofiler.dirty());
     EXPECT_FALSE(reprofiler.refresh());
     EXPECT_DOUBLE_EQ(reprofiler.stats().get("reprofile.sweeps"), 0.0);
@@ -443,8 +440,6 @@ TEST_P(CongestionFuzz, ExactlyOnceUnderFlappingAndCongestion)
 
         EXPECT_EQ(deliveries, chunks * (system.numGpus() - 1))
             << "case " << seed;
-        // Push mode: no per-send epoch reads, ever.
-        EXPECT_EQ(rr.stats().get("reroute.epoch_reads"), 0.0);
 
         return std::make_tuple(
             last, deliveries, stats.get("transfers.retried"),

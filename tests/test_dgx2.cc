@@ -3,9 +3,10 @@
  * DGX-2 scale tests for the fault-adaptive stack: topology
  * invariants of the 16-GPU NVSwitch fabric (every directed pair
  * reachable even with its direct link dead, redundant disjoint relay
- * candidates, bandwidth symmetry), multi-relay BFS detours when the
- * single-relay fan-out is wiped out, chassis-level fault-plan
- * builders, epoch-keyed plan-cache invalidation, and end-to-end
+ * candidates, bandwidth symmetry), multi-relay chain detours when the
+ * single-relay fan-out is wiped out (one scripted case plus shortest-
+ * chain properties over seeded random fault masks), chassis-level
+ * fault-plan builders, push plan-cache invalidation, and end-to-end
  * delivery across a dead baseboard.
  */
 
@@ -13,9 +14,16 @@
 #include "interconnect/rerouter.hh"
 #include "proact/transfer_agent.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "system/platform.hh"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <utility>
+#include <vector>
 
 using namespace proact;
 
@@ -71,6 +79,46 @@ struct Dgx2Harness
 
     int peers() const { return system.numGpus() - 1; }
 };
+
+/**
+ * Reference for the relay-chain search: the lexicographically
+ * smallest (network hops, edges) over every src -> dst chain of
+ * non-DOWN links with at most Rerouter::maxRelayHops relays, by
+ * exhaustive relaxation over walks of exactly 1, 2, ... edges. A walk
+ * that revisits a node is never the minimum — cutting the cycle drops
+ * edges without adding network hops — so walks stand in for chains.
+ * Empty when dst is unreachable within the bound.
+ */
+std::optional<std::pair<int, int>>
+shortestChainCost(MultiGpuSystem &system, int src, int dst)
+{
+    constexpr int unreachable = std::numeric_limits<int>::max();
+    const int n = system.numGpus();
+    const LinkHealthMonitor &mon = *system.health();
+    std::vector<int> hops(static_cast<std::size_t>(n), unreachable);
+    hops[static_cast<std::size_t>(src)] = 0;
+    std::optional<std::pair<int, int>> best;
+    for (int edges = 1; edges <= Rerouter::maxRelayHops + 1; ++edges) {
+        std::vector<int> next(static_cast<std::size_t>(n), unreachable);
+        for (int u = 0; u < n; ++u) {
+            if (hops[static_cast<std::size_t>(u)] == unreachable)
+                continue;
+            for (int v = 0; v < n; ++v) {
+                if (v == u || mon.linkState(u, v) == LinkState::Down)
+                    continue;
+                const int h = hops[static_cast<std::size_t>(u)]
+                    + (system.fabric().interNodePair(u, v) ? 1 : 0);
+                int &slot = next[static_cast<std::size_t>(v)];
+                slot = std::min(slot, h);
+            }
+        }
+        hops = std::move(next);
+        const int h = hops[static_cast<std::size_t>(dst)];
+        if (h != unreachable && (!best || h < best->first))
+            best = std::make_pair(h, edges);
+    }
+    return best;
+}
 
 } // namespace
 
@@ -173,8 +221,9 @@ TEST(Dgx2RerouteTest, MultiRelayDetourWhenEverySingleRelayIsDead)
 {
     // Wipe out every single-relay candidate for 0 -> 2: gpu0 can only
     // reach gpu1, and gpu1 cannot reach gpu2. The shortest surviving
-    // route needs two relays (0 -> 1 -> x -> 2); the BFS fallback
-    // must find it, deterministically picking the lowest-id x = 3.
+    // route needs two relays (0 -> 1 -> x -> 2); the relay-chain
+    // fallback must find it, deterministically picking the lowest-id
+    // x = 3.
     MultiGpuSystem system(dgx2Platform());
     LinkHealthMonitor &mon = system.enableHealth();
     Rerouter &rr = system.enableReroute();
@@ -208,6 +257,82 @@ TEST(Dgx2RerouteTest, MultiRelayDetourWhenEverySingleRelayIsDead)
     EXPECT_EQ(completions, 1);
     EXPECT_GT(rr.stats().get("reroute.relay_hops"), 1.0);
     EXPECT_GT(rr.stats().get("reroute.detours"), 0.0);
+}
+
+TEST(Dgx2RerouteTest, RelayChainIsShortestOnRandomFaultMasks)
+{
+    // Seeded random DOWN-link sets dense enough that some pairs lose
+    // every single relay. Each such pair must get a chain over
+    // surviving links only, within the relay bound and shortest by
+    // (network hops, edges) — or stay direct exactly when no chain
+    // exists — and a fresh rerouter must plan the same chain.
+    const std::pair<const char *, PlatformSpec> fabrics[] = {
+        {"dgx2", dgx2Platform()},
+        {"2x8", multiNodePlatform(2, 8)},
+    };
+    for (const auto &[name, platform] : fabrics) {
+        int chains = 0;
+        for (std::uint64_t seed = 0; seed < 16; ++seed) {
+            SCOPED_TRACE(std::string(name) + " seed "
+                         + std::to_string(seed));
+            MultiGpuSystem system(platform);
+            LinkHealthMonitor &mon = system.enableHealth();
+            Rerouter &rr = system.enableReroute();
+            const int n = system.numGpus();
+
+            Rng rng(seed);
+            const double density =
+                0.7 + 0.05 * static_cast<double>(seed % 4);
+            for (int s = 0; s < n; ++s) {
+                for (int d = 0; d < n; ++d) {
+                    if (s != d && rng.uniform() < density)
+                        killLink(mon, s, d);
+                }
+            }
+
+            Rerouter fresh(system.eventQueue(), system.fabric(), mon);
+            for (int s = 0; s < n; ++s) {
+                for (int d = 0; d < n; ++d) {
+                    if (s == d || mon.linkState(s, d) != LinkState::Down
+                        || !rr.relayCandidates(s, d).empty()) {
+                        continue;
+                    }
+                    const auto &legs = rr.plan(s, d);
+                    ASSERT_EQ(legs.size(), 1u);
+                    const auto expected = shortestChainCost(system, s, d);
+                    if (!expected) {
+                        EXPECT_TRUE(legs[0].direct()) << s << "->" << d;
+                        continue;
+                    }
+                    ASSERT_FALSE(legs[0].direct()) << s << "->" << d;
+
+                    const std::vector<int> &vias = legs[0].vias;
+                    EXPECT_LE(vias.size(),
+                              static_cast<std::size_t>(
+                                  Rerouter::maxRelayHops));
+                    std::vector<int> nodes{s};
+                    nodes.insert(nodes.end(), vias.begin(), vias.end());
+                    nodes.push_back(d);
+                    int inter = 0;
+                    for (std::size_t i = 1; i < nodes.size(); ++i) {
+                        EXPECT_NE(mon.linkState(nodes[i - 1], nodes[i]),
+                                  LinkState::Down);
+                        if (system.fabric().interNodePair(nodes[i - 1],
+                                                          nodes[i])) {
+                            ++inter;
+                        }
+                    }
+                    EXPECT_EQ(inter, expected->first) << s << "->" << d;
+                    EXPECT_EQ(static_cast<int>(nodes.size()) - 1,
+                              expected->second)
+                        << s << "->" << d;
+                    EXPECT_EQ(fresh.plan(s, d).front().vias, vias);
+                    ++chains;
+                }
+            }
+        }
+        EXPECT_GT(chains, 0) << name;
+    }
 }
 
 TEST(Dgx2FaultPlanTest, ChassisBuildersExpandCorrectly)
@@ -315,13 +440,11 @@ TEST(Dgx2FaultPlanTest, NodeDownBuilder)
     EXPECT_THROW(nodeDown(bad, platform, 0, maxTick, -1), FatalError);
 }
 
-TEST(Dgx2RerouteTest, EpochCacheInvalidatesExactly)
+TEST(Dgx2RerouteTest, PushEvictsExactlyTheReadingPlans)
 {
     MultiGpuSystem system(dgx2Platform());
     LinkHealthMonitor &mon = system.enableHealth();
-    ReroutePolicy policy;
-    policy.planTtl = 0; // Every relay-side change recomputes.
-    Rerouter &rr = system.enableReroute(policy);
+    Rerouter &rr = system.enableReroute();
 
     auto computes = [&rr] {
         return rr.stats().get("reroute.plan_computes");

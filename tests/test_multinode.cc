@@ -6,12 +6,13 @@
  * two-tier fabric (per-tier link counts, bandwidth/latency symmetry,
  * builder validation), hierarchical-routing properties (healthy
  * cross-node pairs never detour through a third node, per-tier
- * packetization goodput is monotone in transfer size, the BFS
- * minimizes network-tier hops before edge count, and the tier-masked
- * plan cache lets cross-node link epochs invalidate independently of
- * intra-node ones), a double-run determinism battery at 2x16 and
- * 4x16 GPUs, and a 24-seed fault fuzz mixing inter-node link flaps
- * with device loss that must drain with zero leaked flights.
+ * packetization goodput is monotone in transfer size, the relay-chain
+ * search minimizes network-tier hops before edge count, and the
+ * tier-masked plan cache lets cross-node link flaps invalidate
+ * independently of intra-node ones), a double-run determinism
+ * battery at 2x16 and 4x16 GPUs, and a 24-seed fault fuzz mixing
+ * inter-node link flaps with device loss that must drain with zero
+ * leaked flights.
  */
 
 #include "faults/fault_plan.hh"
@@ -218,13 +219,13 @@ TEST(MultiNodeRouting, DetoursStayOnEndpointNodes)
         EXPECT_TRUE(via >= 8 && via < 12) << via;
 }
 
-TEST(MultiNodeRouting, BfsMinimizesNetworkHopsBeforeEdgeCount)
+TEST(MultiNodeRouting, RelayChainMinimizesNetworkHopsBeforeEdgeCount)
 {
     // 2 nodes x 8 GPUs, pair 0->2. Kill links so that no single
     // relay survives and exactly two multi-relay detours remain:
     //   intra: 0->1->3->5->2   (4 edges, 0 network hops)
     //   cross: 0->1->f->2      (3 edges, 2 network hops, f >= 8)
-    // An edge-count BFS would take the 3-edge path through the
+    // A fewest-edges search would take the 3-edge path through the
     // remote node; the hierarchical search must pay the extra edge
     // to stay on the chassis tier.
     MultiGpuSystem system(multiNodePlatform(2, 8));
