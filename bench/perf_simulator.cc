@@ -24,6 +24,9 @@
  *     speedup at >= 4 cores (gated in optimized builds).
  *  4. Serial end-to-end datapoints — wall-clock of one 64-GPU
  *     pairwise run and one 2x16 multi-node run (recorded only).
+ *  5. Workload setup — R-MAT generation throughput (edges/s, median
+ *     of 5) at the registry's Pagerank input size at scale shift 3
+ *     (recorded only).
  *
  * Default run executes the driver and writes the JSON; pass --gbench
  * [gbench args...] for the original google-benchmark microbenches.
@@ -36,6 +39,7 @@
 #include "sim/event_queue.hh"
 #include "sim/run_pool.hh"
 #include "workloads/graph.hh"
+#include "workloads/pagerank.hh"
 #include "workloads/registry.hh"
 
 #include <benchmark/benchmark.h>
@@ -522,6 +526,28 @@ runDriver()
               << "end-to-end 2x16 (PROACT Jacobi): "
               << multi_point.seconds << " s\n";
 
+    // 5. Workload setup: R-MAT generation at the registry's shift-3
+    // Pagerank size (recorded, not gated).
+    RmatParams rmat = PagerankWorkload::Params{}.graph;
+    rmat.numVertices >>= 3;
+    rmat.numEdges >>= 3;
+    constexpr int rmat_runs = 5;
+    std::vector<double> rmat_seconds;
+    for (int run = 0; run < rmat_runs; ++run) {
+        start = std::chrono::steady_clock::now();
+        const Graph g = generateRmat(rmat);
+        rmat_seconds.push_back(secondsSince(start));
+    }
+    const double rmat_median = median(rmat_seconds);
+    const double rmat_edges_per_sec = rmat_median > 0.0
+        ? static_cast<double>(rmat.numEdges) / rmat_median
+        : 0.0;
+    std::cout << "R-MAT generation (" << rmat.numVertices
+              << " vertices, " << rmat.numEdges << " edges, median of "
+              << rmat_runs << "): " << rmat_median << " s, "
+              << static_cast<std::uint64_t>(rmat_edges_per_sec)
+              << " edges/s\n";
+
     // The pool gate needs cores to run the workers on; on a starved
     // machine the datapoint is still recorded (and the determinism
     // check still binds) but speedup is not enforced.
@@ -582,6 +608,12 @@ runDriver()
          << "    \"end_to_end_serial\": [\n      "
          << datapoint(ring, ring_point) << ",\n      "
          << datapoint(multi, multi_point) << "\n    ]\n"
+         << "  },\n  \"rmat_generation\": {\n"
+         << "    \"vertices\": " << rmat.numVertices << ",\n"
+         << "    \"edges\": " << rmat.numEdges << ",\n"
+         << "    \"runs\": " << rmat_runs << ",\n"
+         << "    \"median_seconds\": " << rmat_median << ",\n"
+         << "    \"edges_per_sec\": " << rmat_edges_per_sec << "\n"
          << "  },\n  \"acceptance\": {\n"
          << "    \"serial_speedup_ok\": "
          << (gate_speedup ? "true" : "false")

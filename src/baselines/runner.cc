@@ -141,14 +141,15 @@ UnifiedMemoryRuntime::run(Workload &workload)
 
     const Tick start = _system.now();
 
-    // Region layout: concatenated per-GPU partitions, sized from the
-    // first iteration (our workloads keep partition sizes constant).
-    const Phase first = workload.phase(0);
+    // Region layout: one slot per GPU, concatenated, each as large as
+    // the most that GPU produces in any iteration (ALS alternates
+    // between its user and item partitions).
+    const std::vector<std::uint64_t> slots = workload.peakBytesProduced();
     std::vector<std::uint64_t> offsets(n, 0);
     std::uint64_t region_bytes = 0;
     for (int g = 0; g < n; ++g) {
         offsets[g] = region_bytes;
-        region_bytes += first.perGpu[g].totalBytesProduced();
+        region_bytes += slots[g];
     }
     UmDriver driver(_system, std::max<std::uint64_t>(1, region_bytes));
 

@@ -63,6 +63,29 @@ class Rng
         return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
     }
 
+    /**
+     * Integer form of `uniform() < p`. uniform() is the 53-bit
+     * mantissa m = x >> 11 scaled by 2^-53, which is exact, so
+     * m * 2^-53 < p holds exactly when m < ceil(p * 2^53). Hot loops
+     * compare the raw draw's mantissa against this threshold instead
+     * of converting it to a double.
+     */
+    static std::uint64_t
+    uniformThreshold(double p)
+    {
+        if (!(p > 0.0)) // Also NaN: uniform() < NaN never holds.
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t(1) << 53;
+        // p * 2^53 is exact (scaling by a power of two), and so is
+        // its ceiling, which is below 2^53.
+        const double scaled = p * 0x1.0p53;
+        auto t = static_cast<std::uint64_t>(scaled);
+        if (static_cast<double>(t) < scaled)
+            ++t;
+        return t;
+    }
+
     /** Uniform integer in [0, bound). @p bound must be non-zero. */
     std::uint64_t
     below(std::uint64_t bound)

@@ -260,6 +260,21 @@ AlsWorkload::buildPhase(int iter)
     return p;
 }
 
+std::vector<std::uint64_t>
+AlsWorkload::peakBytesProduced()
+{
+    std::vector<std::uint64_t> peak = Workload::peakBytesProduced();
+    if (numIterations() > 1) {
+        // buildPhase() has no side effects, so reading iteration 1
+        // ahead of the run is safe.
+        const Phase odd = phase(1);
+        for (std::size_t g = 0; g < peak.size(); ++g)
+            peak[g] = std::max(peak[g],
+                               odd.perGpu[g].totalBytesProduced());
+    }
+    return peak;
+}
+
 double
 AlsWorkload::rmse() const
 {

@@ -49,6 +49,13 @@ class AlsWorkload : public Workload
     int numIterations() const override { return _params.iterations; }
     Phase buildPhase(int iter) override;
 
+    /**
+     * Even iterations update users over the user partition, odd ones
+     * items over the item partition, so a GPU's output size
+     * alternates; the peak covers both.
+     */
+    std::vector<std::uint64_t> peakBytesProduced() override;
+
     TrafficProfile
     traffic() const override
     {

@@ -4,63 +4,111 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 namespace proact {
 
 namespace {
 
-/** Sample one R-MAT edge by recursive quadrant descent. */
-std::pair<std::int64_t, std::int64_t>
-sampleEdge(Rng &rng, int scale, double a, double b, double c)
+/** The even-position bits of @p x (bits 0, 2, 4, ...), packed. */
+std::uint32_t
+evenBits(std::uint64_t x)
 {
-    std::int64_t src = 0, dst = 0;
-    for (int level = 0; level < scale; ++level) {
-        const double r = rng.uniform();
-        src <<= 1;
-        dst <<= 1;
-        if (r < a) {
-            // top-left: neither bit set
-        } else if (r < a + b) {
-            dst |= 1;
-        } else if (r < a + b + c) {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
-    }
-    return {src, dst};
+    x &= 0x5555555555555555ULL;
+    x = (x | (x >> 1)) & 0x3333333333333333ULL;
+    x = (x | (x >> 2)) & 0x0f0f0f0f0f0f0f0fULL;
+    x = (x | (x >> 4)) & 0x00ff00ff00ff00ffULL;
+    x = (x | (x >> 8)) & 0x0000ffff0000ffffULL;
+    x = (x | (x >> 16)) & 0x00000000ffffffffULL;
+    return static_cast<std::uint32_t>(x);
 }
 
+/**
+ * Draw srcs.size() R-MAT edges by recursive quadrant descent, one
+ * uniform() draw r per level, most significant bit first: top-left
+ * when r < a, top-right when r < a + b, bottom-left when
+ * r < a + b + c, bottom-right otherwise. With exact integer
+ * thresholds (Rng::uniformThreshold) the quadrant index
+ * q = [r >= a] + [r >= a+b] + [r >= a+b+c] is the (src, dst) bit
+ * pair, so each level costs three compares and no branch. The pairs
+ * are appended to one word and split once per edge.
+ */
+void
+drawEdges(Rng &rng, int scale, const RmatParams &params,
+          std::vector<std::int32_t> &srcs,
+          std::vector<std::int32_t> &dsts)
+{
+    const std::uint64_t t_a = Rng::uniformThreshold(params.a);
+    const std::uint64_t t_ab =
+        Rng::uniformThreshold(params.a + params.b);
+    const std::uint64_t t_abc =
+        Rng::uniformThreshold(params.a + params.b + params.c);
+
+    // A local copy lets the compiler keep the state in registers.
+    Rng local = rng;
+    const std::size_t num_edges = srcs.size();
+    for (std::size_t e = 0; e < num_edges; ++e) {
+        std::uint64_t pairs = 0;
+        for (int level = 0; level < scale; ++level) {
+            const std::uint64_t m = local() >> 11;
+            pairs = (pairs << 2) + (m >= t_a) + (m >= t_ab)
+                + (m >= t_abc);
+        }
+        srcs[e] = static_cast<std::int32_t>(evenBits(pairs >> 1));
+        dsts[e] = static_cast<std::int32_t>(evenBits(pairs));
+    }
+    rng = local;
+}
+
+/**
+ * Incoming-edge CSR of the edges (srcs[e], dsts[e]). Each
+ * destination's edges keep their order in the arrays, and one weight
+ * in [1, max_weight] is drawn per edge in that order.
+ */
 Graph
 buildCsr(std::int64_t num_vertices,
-         std::vector<std::pair<std::int64_t, std::int64_t>> &edges,
-         Rng &rng, std::int32_t max_weight)
+         const std::vector<std::int32_t> &srcs,
+         const std::vector<std::int32_t> &dsts, Rng &rng,
+         std::int32_t max_weight)
 {
     Graph g;
     g.numVertices = num_vertices;
     g.outDegree.assign(num_vertices, 0);
     g.inOffsets.assign(num_vertices + 1, 0);
 
-    for (const auto &[src, dst] : edges) {
-        ++g.outDegree[src];
-        ++g.inOffsets[dst + 1];
+    const std::size_t num_edges = srcs.size();
+    for (std::size_t e = 0; e < num_edges; ++e) {
+        ++g.outDegree[srcs[e]];
+        ++g.inOffsets[dsts[e] + 1];
     }
     for (std::int64_t v = 0; v < num_vertices; ++v)
         g.inOffsets[v + 1] += g.inOffsets[v];
 
-    g.inNeighbors.resize(edges.size());
-    g.inWeights.resize(edges.size());
-    std::vector<std::int64_t> cursor(g.inOffsets.begin(),
-                                     g.inOffsets.end() - 1);
+    g.inNeighbors.resize(num_edges);
+    g.inWeights.resize(num_edges);
 
-    // Fill in deterministic edge order (generation order per dst).
-    for (const auto &[src, dst] : edges) {
-        const std::int64_t slot = cursor[dst]++;
-        g.inNeighbors[slot] = static_cast<std::int32_t>(src);
-        g.inWeights[slot] = static_cast<float>(
-            1 + rng.below(static_cast<std::uint64_t>(max_weight)));
+    // Scatter in edge order with inOffsets[v] as v's fill cursor:
+    // afterwards it holds the old inOffsets[v + 1], and one shift
+    // restores the offsets. The writes land at random; prefetching
+    // the slots a few edges ahead hides most of the cache misses.
+    constexpr std::size_t prefetch_distance = 16;
+    const auto bound = static_cast<std::uint64_t>(max_weight);
+    Rng local = rng;
+    for (std::size_t e = 0; e < num_edges; ++e) {
+        if (e + prefetch_distance < num_edges) {
+            const std::int64_t ahead =
+                g.inOffsets[dsts[e + prefetch_distance]];
+            __builtin_prefetch(&g.inNeighbors[ahead], 1);
+            __builtin_prefetch(&g.inWeights[ahead], 1);
+        }
+        const std::int64_t slot = g.inOffsets[dsts[e]]++;
+        g.inNeighbors[slot] = srcs[e];
+        g.inWeights[slot] = static_cast<float>(1 + local.below(bound));
     }
+    rng = local;
+    for (std::int64_t v = num_vertices; v > 0; --v)
+        g.inOffsets[v] = g.inOffsets[v - 1];
+    g.inOffsets[0] = 0;
     return g;
 }
 
@@ -76,37 +124,44 @@ generateRmat(const RmatParams &params)
         fatalError("generateRmat: vertex count must be a power of 2, "
                    "got ", params.numVertices);
     }
+    const int scale = std::bit_width(
+        static_cast<std::uint64_t>(params.numVertices)) - 1;
+    if (scale > 31) {
+        fatalError("generateRmat: vertex ids must fit in 32 bits, "
+                   "got ", params.numVertices, " vertices");
+    }
+    // The branchless descent needs ordered thresholds (NaN fails).
+    if (!(params.a >= 0.0 && params.b >= 0.0 && params.c >= 0.0))
+        fatalError("generateRmat: quadrant probabilities must be "
+                   "non-negative");
     const double sum = params.a + params.b + params.c;
     if (sum >= 1.0)
         fatalError("generateRmat: quadrant probabilities exceed 1");
 
-    const int scale = std::bit_width(
-        static_cast<std::uint64_t>(params.numVertices)) - 1;
-
+    // Stream contract (DESIGN.md): all edges level by level, then
+    // the vertex permutation, then one weight per edge in generation
+    // order. Changing it changes every graph.
     Rng rng(params.seed);
-    std::vector<std::pair<std::int64_t, std::int64_t>> edges;
-    edges.reserve(params.numEdges);
-    for (std::int64_t e = 0; e < params.numEdges; ++e)
-        edges.push_back(
-            sampleEdge(rng, scale, params.a, params.b, params.c));
+    std::vector<std::int32_t> srcs(params.numEdges);
+    std::vector<std::int32_t> dsts(params.numEdges);
+    drawEdges(rng, scale, params, srcs, dsts);
 
     if (params.shuffleVertices) {
         // Fisher-Yates permutation of vertex labels.
-        std::vector<std::int64_t> perm(params.numVertices);
-        for (std::int64_t v = 0; v < params.numVertices; ++v)
-            perm[v] = v;
+        std::vector<std::int32_t> perm(params.numVertices);
+        std::iota(perm.begin(), perm.end(), 0);
         for (std::int64_t v = params.numVertices - 1; v > 0; --v) {
             const auto j = static_cast<std::int64_t>(
                 rng.below(static_cast<std::uint64_t>(v + 1)));
             std::swap(perm[v], perm[j]);
         }
-        for (auto &[src, dst] : edges) {
-            src = perm[src];
-            dst = perm[dst];
+        for (std::size_t e = 0; e < srcs.size(); ++e) {
+            srcs[e] = perm[srcs[e]];
+            dsts[e] = perm[dsts[e]];
         }
     }
 
-    return buildCsr(params.numVertices, edges, rng,
+    return buildCsr(params.numVertices, srcs, dsts, rng,
                     params.maxWeight);
 }
 
@@ -119,17 +174,18 @@ generateRing(std::int64_t num_vertices, int degree)
                    " vertices, degree ", degree, ")");
     }
 
-    std::vector<std::pair<std::int64_t, std::int64_t>> edges;
-    edges.reserve(num_vertices * degree);
+    std::vector<std::int32_t> srcs, dsts;
+    srcs.reserve(num_vertices * degree);
+    dsts.reserve(num_vertices * degree);
     for (std::int64_t v = 0; v < num_vertices; ++v) {
         for (int k = 1; k <= degree; ++k) {
-            const std::int64_t src =
-                (v - k + num_vertices) % num_vertices;
-            edges.emplace_back(src, v);
+            srcs.push_back(static_cast<std::int32_t>(
+                (v - k + num_vertices) % num_vertices));
+            dsts.push_back(static_cast<std::int32_t>(v));
         }
     }
     Rng rng(7);
-    return buildCsr(num_vertices, edges, rng, 1);
+    return buildCsr(num_vertices, srcs, dsts, rng, 1);
 }
 
 std::vector<std::int64_t>

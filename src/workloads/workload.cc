@@ -50,4 +50,15 @@ Workload::phase(int iter)
     return p;
 }
 
+std::vector<std::uint64_t>
+Workload::peakBytesProduced()
+{
+    const Phase first = phase(0);
+    std::vector<std::uint64_t> peak;
+    peak.reserve(first.perGpu.size());
+    for (const GpuPhaseWork &work : first.perGpu)
+        peak.push_back(work.totalBytesProduced());
+    return peak;
+}
+
 } // namespace proact

@@ -152,6 +152,16 @@ class Workload
      */
     Phase phase(int iter);
 
+    /**
+     * Per GPU, the largest totalBytesProduced() of any iteration,
+     * footprint scale applied. Runtimes that give each GPU one fixed
+     * slot for the whole run (Unified Memory) size the slots with
+     * it. The default reads iteration 0, which is exact when the
+     * partitions never change; workloads whose partitions change
+     * between iterations override it.
+     */
+    virtual std::vector<std::uint64_t> peakBytesProduced();
+
     /** Communication character (constant per workload). */
     virtual TrafficProfile traffic() const = 0;
 

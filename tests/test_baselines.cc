@@ -5,6 +5,7 @@
 
 #include "baselines/runner.hh"
 #include "tests/toy_workload.hh"
+#include "workloads/registry.hh"
 
 #include "sim/logging.hh"
 
@@ -151,6 +152,33 @@ TEST(UnifiedMemoryRuntime, SingleGpuDoesNotMigrate)
     UnifiedMemoryRuntime runtime(system);
     EXPECT_GT(runtime.run(workload), 0u);
     EXPECT_DOUBLE_EQ(runtime.stats().get("um_accesses"), 0.0);
+}
+
+// ALS alternates between its user and item partitions, so a GPU's
+// output size changes from one iteration to the next. Each GPU's
+// slot in the managed region must hold its largest output; sized
+// from iteration 0 alone, one GPU's range ran past the page table
+// (PanicError) at scale shifts 1, 3 and 5.
+TEST(UnifiedMemoryRuntime, AlsAlternatingPartitionsFitTheRegion)
+{
+    for (const int shift : {1, 3, 5}) {
+        SCOPED_TRACE(shift);
+        auto workload = makeWorkload("ALS", shift);
+        workload->setFootprintScale(16);
+        workload->setup(4);
+        MultiGpuSystem system(voltaPlatform());
+        UnifiedMemoryRuntime runtime(system);
+        EXPECT_NO_THROW(runtime.run(*workload));
+        EXPECT_TRUE(workload->verify());
+
+        const auto peak = workload->peakBytesProduced();
+        ASSERT_EQ(peak.size(), 4u);
+        for (int iter = 0; iter < 2; ++iter) {
+            const Phase phase = workload->phase(iter);
+            for (int g = 0; g < 4; ++g)
+                EXPECT_GE(peak[g], phase.perGpu[g].totalBytesProduced());
+        }
+    }
 }
 
 TEST(Baselines, ParadigmsComputeIdenticalResults)
