@@ -31,8 +31,6 @@
 #include "interconnect/rerouter.hh"
 #include "proact/reprofiler.hh"
 
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -188,10 +186,8 @@ main()
          << (pass ? "true" : "false") << ",\n    \"pass\": "
          << (pass ? "true" : "false") << "\n  }\n}\n";
 
-    const char *env = std::getenv("PROACT_BENCH_JSON");
     const std::string path =
-        env != nullptr && *env != '\0' ? env : "ablation_reroute.json";
-    std::ofstream(path) << json.str();
+        writeBenchJson("ablation_reroute.json", json.str());
 
     std::cout << "\nacceptance: reroute+reprofile "
               << (pass ? "beats" : "DOES NOT BEAT")

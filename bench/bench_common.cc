@@ -3,6 +3,7 @@
 #include "sim/logging.hh"
 
 #include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -66,6 +67,16 @@ defaultProfilerOptions()
     }
     options.profileIterations = 2;
     return options;
+}
+
+std::string
+writeBenchJson(const std::string &default_name, const std::string &json)
+{
+    const char *env = std::getenv("PROACT_BENCH_JSON");
+    const std::string path =
+        env != nullptr && *env != '\0' ? env : default_name;
+    std::ofstream(path) << json;
+    return path;
 }
 
 std::string

@@ -64,6 +64,15 @@ makeScaledWorkload(const std::string &name, int num_gpus,
 /** Reduced profiling options honouring PROACT_QUICK. */
 Profiler::Options defaultProfilerOptions();
 
+/**
+ * Write a bench's machine-readable summary to $PROACT_BENCH_JSON, or
+ * to @p default_name when that is unset or empty.
+ *
+ * @return The path written.
+ */
+std::string writeBenchJson(const std::string &default_name,
+                           const std::string &json);
+
 /** Print a right-aligned numeric cell. */
 std::string cell(double value, int width = 8, int precision = 2);
 

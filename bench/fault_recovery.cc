@@ -24,13 +24,14 @@
  * fault-free baseline.
  */
 
+#include "bench/bench_common.hh"
+
 #include "faults/fault_plan.hh"
 #include "fleet/fleet_session.hh"
 #include "fleet/job.hh"
 #include "system/platform.hh"
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
@@ -194,10 +195,8 @@ main(int argc, char **argv)
          << ",\n    \"pass\": " << (pass ? "true" : "false")
          << "\n  }\n}\n";
 
-    const char *env = std::getenv("PROACT_BENCH_JSON");
     const std::string path =
-        env != nullptr && *env != '\0' ? env : "BENCH_recovery.json";
-    std::ofstream(path) << json.str();
+        bench::writeBenchJson("BENCH_recovery.json", json.str());
 
     std::cout << "acceptance: "
               << (all_complete ? "all jobs completed" : "JOBS LOST")

@@ -45,8 +45,6 @@
 #include "interconnect/rerouter.hh"
 #include "system/platform.hh"
 
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -311,10 +309,8 @@ main()
                                                     : "false")
          << "\n  }\n}\n";
 
-    const char *env = std::getenv("PROACT_BENCH_JSON");
     const std::string path =
-        env != nullptr && *env != '\0' ? env : "fig10_faults.json";
-    std::ofstream(path) << json.str();
+        writeBenchJson("fig10_faults.json", json.str());
 
     std::cout << "\nacceptance: adaptive "
               << (beats_at_16 ? "beats" : "DOES NOT BEAT")

@@ -22,12 +22,13 @@
  * per-tenant p50/p95/p99 latency reported.
  */
 
+#include "bench/bench_common.hh"
+
 #include "fleet/fleet_session.hh"
 #include "fleet/job.hh"
 #include "system/platform.hh"
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -111,10 +112,8 @@ main(int argc, char **argv)
          << (deterministic ? "true" : "false") << ",\n    \"pass\": "
          << (pass ? "true" : "false") << "\n  }\n}\n";
 
-    const char *env = std::getenv("PROACT_BENCH_JSON");
     const std::string path =
-        env != nullptr && *env != '\0' ? env : "BENCH_fleet.json";
-    std::ofstream(path) << json.str();
+        bench::writeBenchJson("BENCH_fleet.json", json.str());
 
     std::cout << "\nacceptance: " << run1.tenants.size()
               << " jobs (need >= 32), percentile output "

@@ -32,6 +32,8 @@
  * [gbench args...] for the original google-benchmark microbenches.
  */
 
+#include "bench/bench_common.hh"
+
 #include "harness/paradigm.hh"
 #include "proact/runtime.hh"
 #include "system/platform.hh"
@@ -48,7 +50,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -624,10 +625,8 @@ runDriver()
          << ",\n    \"pass\": " << (pass ? "true" : "false")
          << "\n  }\n}\n";
 
-    const char *env = std::getenv("PROACT_BENCH_JSON");
     const std::string path =
-        env != nullptr && *env != '\0' ? env : "BENCH_simulator.json";
-    std::ofstream(path) << json.str();
+        bench::writeBenchJson("BENCH_simulator.json", json.str());
     std::cout << "\nJSON written to " << path << "\n";
     return pass ? 0 : 1;
 }

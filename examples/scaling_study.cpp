@@ -9,7 +9,7 @@
  * copies.
  *
  * PROACT_NODES=N extends the study onto a hierarchical N-node
- * platform (multiNodePlatform; see PROACT_INTER_* knobs), adding
+ * platform (multiNodePlatform, IB-HDR network tier), adding
  * 32/64/... GPU points that cross the network tier.
  *
  * Usage: scaling_study [workload]

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <iomanip>
 #include <map>
@@ -15,29 +14,6 @@
 #include <utility>
 
 namespace proact::fleet {
-
-RecoveryPolicy
-envRecoveryPolicy()
-{
-    RecoveryPolicy policy;
-    const char *env = std::getenv("PROACT_RECOVERY");
-    policy.enabled =
-        env != nullptr && *env != '\0' && std::string(env) != "0";
-    policy.checkpoint = envCheckpointPolicy();
-    // Recovery without checkpoints restarts from iteration 0 every
-    // time — a repeatedly faulted job would never converge.
-    policy.checkpoint.enabled |= policy.enabled;
-    policy.deviceHealth = envDeviceHealthPolicy();
-    if (const char *min = std::getenv("PROACT_RECOVERY_MIN_GPUS");
-        min != nullptr && *min != '\0') {
-        policy.minGpus = std::clamp(std::atoi(min), 2, 64);
-    }
-    if (const char *max = std::getenv("PROACT_RECOVERY_MAX_ATTEMPTS");
-        max != nullptr && *max != '\0') {
-        policy.maxAttempts = std::clamp(std::atoi(max), 1, 16);
-    }
-    return policy;
-}
 
 HealthPolicy
 fleetHealthPolicy()

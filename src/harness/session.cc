@@ -62,8 +62,8 @@ Session::run(Workload &workload, Paradigm paradigm,
     // PROACT_FAULTS=1 turns any session run into a fault-injection
     // run: the env-described plan is armed on the fresh system and
     // the PROACT paths get the matching retry policy (a lossy fabric
-    // without acknowledged delivery would lose deliveries). The
-    // fault-adaptive layers stack on top, each behind its own knob.
+    // without acknowledged delivery would lose deliveries). Every
+    // fault-adaptive layer stacks on top.
     RunOptions options;
     options.config = config;
     options.functional = functional;
@@ -72,18 +72,8 @@ Session::run(Workload &workload, Paradigm paradigm,
         options.armFaults = true;
         options.faults = envFaultPlan();
         options.retry = envRetryPolicy();
-        options.health = envHealthEnabled();
-        options.healthPolicy = envHealthPolicy();
-        options.reroute = envRerouteEnabled();
-        options.reroutePolicy = envReroutePolicy();
-        options.reprofile = envReprofileEnabled();
-        options.reprofileCharge = envReprofileChargeEnabled();
-        options.deviceHealth = envDeviceHealthEnabled();
-        options.deviceHealthPolicy = envDeviceHealthPolicy();
+        options.health = options.reroute = options.reprofile = true;
     }
-    // Checkpointing is independent of fault injection: a fault-free
-    // run can still measure the checkpoint overhead.
-    options.checkpoint = envCheckpointPolicy();
     return run(workload, paradigm, options);
 }
 
@@ -102,7 +92,7 @@ Session::run(Workload &workload, Paradigm paradigm,
         effective.retry = options.retry;
     }
     if (options.health || options.reroute || options.reprofile) {
-        system.enableHealth(options.healthPolicy);
+        system.enableHealth();
         // Boundary-aware bookings: in-flight transfers follow
         // degradation windows instead of keeping their stale
         // delivery tick.
@@ -111,16 +101,14 @@ Session::run(Workload &workload, Paradigm paradigm,
     if (options.deviceHealth)
         system.enableDeviceHealth(options.deviceHealthPolicy);
     if (options.reroute)
-        system.enableReroute(options.reroutePolicy);
+        system.enableReroute();
     if (options.reprofile && options.reprofileFactory &&
         paradigm == Paradigm::ProactDecoupled) {
         TransferConfig initial = effective;
         if (!initial.decoupled())
             initial.mechanism = TransferMechanism::Polling;
-        AdaptiveReprofiler::Options ropts;
-        ropts.chargeTimeline = options.reprofileCharge;
         reprofiler = std::make_unique<AdaptiveReprofiler>(
-            system, options.reprofileFactory, initial, ropts);
+            system, options.reprofileFactory, initial);
     }
 
     // Per-tenant tracing rides the observer list next to the health
@@ -159,8 +147,6 @@ Session::run(Workload &workload, Paradigm paradigm,
         result.checkpointTicks = pr->checkpointTicks();
         result.orphanedTransfers =
             u64(pr->stats().get("transfers.orphaned"));
-        result.reprofileChargedTicks = static_cast<Tick>(
-            pr->stats().get("reprofile.charged_ticks"));
     }
     result.refusedDeliveries = system.fabric().refusedDeliveries();
     result.quiescedFlights = system.fabric().quiescedFlights();

@@ -42,7 +42,7 @@ struct ParadigmRun
      * @{ @name Fault-adaptive runtime counters
      * All zero on a fault-free run; harvested from the injector, the
      * retry layer, the health monitor, the rerouter and the adaptive
-     * reprofiler when those are armed (PROACT_FAULTS and friends).
+     * reprofiler when those are armed (PROACT_FAULTS or RunOptions).
      */
     std::uint64_t faultsDropped = 0;    ///< Deliveries the plan lost.
     std::uint64_t retries = 0;          ///< Re-pushes after ack loss.
@@ -69,7 +69,6 @@ struct ParadigmRun
     std::uint64_t refusedDeliveries = 0; ///< Dead-endpoint refusals.
     std::uint64_t quiescedFlights = 0; ///< In-flight DMA aborted.
     std::uint64_t orphanedTransfers = 0; ///< Given-up dead transfers.
-    Tick reprofileChargedTicks = 0;    ///< Sweep cost on timeline.
     /** @} */
 
     /**
@@ -113,11 +112,9 @@ class Session
 
         /** Link health monitoring on the fresh system. */
         bool health = false;
-        HealthPolicy healthPolicy;
 
         /** Detours/splits around unhealthy links (implies health). */
         bool reroute = false;
-        ReroutePolicy reroutePolicy;
 
         /**
          * Adaptive re-profiling at iteration boundaries (implies
@@ -125,13 +122,6 @@ class Session
          */
         bool reprofile = false;
         WorkloadFactory reprofileFactory;
-
-        /**
-         * Charge each narrowed re-profiling sweep's simulated cost to
-         * the run's timeline (AdaptiveReprofiler's chargeTimeline —
-         * PROACT_REPROFILE_CHARGE in the env overload).
-         */
-        bool reprofileCharge = false;
 
         /**
          * Device heartbeat watchdog on the fresh system: declares
@@ -173,10 +163,9 @@ class Session
     /**
      * Execute @p workload under @p paradigm on a fresh system.
      *
-     * With PROACT_FAULTS on, the env fault plan is armed and the
-     * enabled fault-adaptive layers (health / reroute / reprofile,
-     * see config.hh) are wired into the fresh system; the run result
-     * carries the fault counters.
+     * With PROACT_FAULTS on, the env fault plan is armed and every
+     * fault-adaptive layer (health, reroute, reprofile) is wired into
+     * the fresh system; the run result carries the fault counters.
      *
      * @param functional Run the real math (verifiable) or
      *        timing-only (fast).

@@ -236,8 +236,6 @@ class Interconnect
         _faultFilter = std::move(filter);
     }
 
-    bool hasFaultFilter() const { return _faultFilter != nullptr; }
-
     /** Deliveries the fault filter dropped so far. */
     std::uint64_t droppedDeliveries() const
     {

@@ -64,8 +64,7 @@ struct ReroutePolicy
      * proportionally less of the spread. Under sustained multi-
      * tenant hotspots the flat discount treats a barely-congested
      * and a drowning relay identically; the queue weight splits
-     * between them by their actual backlogs. Enabled from the
-     * environment via PROACT_REROUTE_QUEUE_WEIGHT=1.
+     * between them by their actual backlogs.
      */
     bool queueWeightedCongestion = false;
 };

@@ -126,140 +126,6 @@ envFaultPlan()
     return plan;
 }
 
-namespace {
-
-/** A fault-adaptive layer: on by default when faults are on. */
-bool
-envLayerEnabled(const char *name)
-{
-    if (!envFaultsEnabled())
-        return false;
-    const char *env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return true;
-    return std::string(env) != "0";
-}
-
-} // namespace
-
-bool
-envHealthEnabled()
-{
-    return envLayerEnabled("PROACT_HEALTH") || envRerouteEnabled()
-        || envReprofileEnabled();
-}
-
-bool
-envRerouteEnabled()
-{
-    return envLayerEnabled("PROACT_REROUTE");
-}
-
-bool
-envReprofileEnabled()
-{
-    return envLayerEnabled("PROACT_REPROFILE");
-}
-
-ReroutePolicy
-envReroutePolicy()
-{
-    ReroutePolicy policy;
-    const char *env = std::getenv("PROACT_REROUTE_QUEUE_WEIGHT");
-    if (env != nullptr && *env != '\0')
-        policy.queueWeightedCongestion = std::string(env) != "0";
-    return policy;
-}
-
-HealthPolicy
-envHealthPolicy()
-{
-    HealthPolicy policy;
-    policy.congestedQueueRatio = envDouble(
-        "PROACT_HEALTH_CONGEST_RATIO", policy.congestedQueueRatio,
-        0.1, 1000.0);
-    policy.clearQueueRatio =
-        envDouble("PROACT_HEALTH_CLEAR_RATIO", policy.clearQueueRatio,
-                  0.0, 1000.0);
-    if (policy.clearQueueRatio >= policy.congestedQueueRatio)
-        policy.clearQueueRatio = policy.congestedQueueRatio * 0.5;
-    const double holdoff_us =
-        envDouble("PROACT_HEALTH_HOLDOFF_US", 0.0, 0.0, 1e6);
-    policy.transitionHoldoff = static_cast<Tick>(
-        holdoff_us * static_cast<double>(ticksPerMicrosecond));
-    return policy;
-}
-
-namespace {
-
-/** Opt-in flag: off unless the variable is set to something != "0". */
-bool
-envFlagEnabled(const char *name)
-{
-    const char *env = std::getenv(name);
-    return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-} // namespace
-
-bool
-envCheckpointEnabled()
-{
-    return envFlagEnabled("PROACT_CHECKPOINT");
-}
-
-CheckpointPolicy
-envCheckpointPolicy()
-{
-    CheckpointPolicy policy;
-    policy.enabled = envCheckpointEnabled();
-    policy.interval = static_cast<int>(
-        envDouble("PROACT_CHECKPOINT_INTERVAL",
-                  static_cast<double>(policy.interval), 1.0, 1e6));
-    const double cost_us = envDouble(
-        "PROACT_CHECKPOINT_COST_US",
-        static_cast<double>(policy.cost)
-            / static_cast<double>(ticksPerMicrosecond),
-        0.0, 1e9);
-    policy.cost = static_cast<Tick>(
-        cost_us * static_cast<double>(ticksPerMicrosecond));
-    return policy;
-}
-
-bool
-envDeviceHealthEnabled()
-{
-    return envFlagEnabled("PROACT_DEVICE_HEALTH");
-}
-
-DeviceHealthPolicy
-envDeviceHealthPolicy()
-{
-    DeviceHealthPolicy policy;
-    const double interval_us = envDouble(
-        "PROACT_DEVICE_HEALTH_INTERVAL_US",
-        static_cast<double>(policy.heartbeatInterval)
-            / static_cast<double>(ticksPerMicrosecond),
-        1.0, 1e6);
-    policy.heartbeatInterval = static_cast<Tick>(
-        interval_us * static_cast<double>(ticksPerMicrosecond));
-    policy.suspectAfterMisses = static_cast<int>(envDouble(
-        "PROACT_DEVICE_HEALTH_SUSPECT_MISSES",
-        static_cast<double>(policy.suspectAfterMisses), 1.0, 1e3));
-    policy.lostAfterMisses = static_cast<int>(envDouble(
-        "PROACT_DEVICE_HEALTH_LOST_MISSES",
-        static_cast<double>(policy.lostAfterMisses), 1.0, 1e3));
-    if (policy.suspectAfterMisses > policy.lostAfterMisses)
-        policy.suspectAfterMisses = policy.lostAfterMisses;
-    return policy;
-}
-
-bool
-envReprofileChargeEnabled()
-{
-    return envFlagEnabled("PROACT_REPROFILE_CHARGE");
-}
-
 int
 envNodes()
 {
@@ -272,28 +138,7 @@ envMultiNodePlatform(int gpus_per_node)
     const int nodes = envNodes();
     if (nodes <= 1)
         return dgx2Platform();
-    PlatformSpec platform = multiNodePlatform(nodes, gpus_per_node);
-    FabricSpec &fabric = platform.fabric;
-
-    const double bw_gbps = envDouble(
-        "PROACT_INTER_BW_GBPS",
-        fabric.interPerGpuBidirBandwidth / 1e9, 1.0, 400.0);
-    fabric.interPerGpuBidirBandwidth = bw_gbps * 1e9;
-
-    const double latency_us = envDouble(
-        "PROACT_INTER_LATENCY_US",
-        static_cast<double>(fabric.interLatency)
-            / static_cast<double>(ticksPerMicrosecond),
-        0.0, 1e6);
-    Tick latency = static_cast<Tick>(
-        latency_us * static_cast<double>(ticksPerMicrosecond));
-    // The network tier must never undercut the intra-node latency: a
-    // cross-node transfer leaves its chassis before it rides the
-    // network (FabricSpec keeps `latency` as the fabric minimum).
-    if (latency < fabric.latency)
-        latency = fabric.latency;
-    fabric.interLatency = latency;
-    return platform;
+    return multiNodePlatform(nodes, gpus_per_node);
 }
 
 RetryPolicy
@@ -306,19 +151,13 @@ envRetryPolicy()
     if (env != nullptr && *env != '\0')
         policy.maxAttempts = std::clamp(std::atoi(env), 1, 16);
 
-    // Reroute-aware retry defaults on whenever rerouting itself is
-    // on: two lost attempts is exactly the streak that can flip a
-    // link to DOWN (the first loss plus downAfterLosses reached while
-    // retries overlap), so consulting the rerouter then is cheap and
-    // never earlier than the health picture can change.
-    if (envRerouteEnabled()) {
+    // Env-armed runs always reroute, so retry is reroute-aware: two
+    // lost attempts is exactly the streak that can flip a link to
+    // DOWN (the first loss plus downAfterLosses reached while retries
+    // overlap), so consulting the rerouter then is cheap and never
+    // earlier than the health picture can change.
+    if (policy.enabled)
         policy.rerouteAfterAttempts = 2;
-        const char *after = std::getenv("PROACT_RETRY_REROUTE_AFTER");
-        if (after != nullptr && *after != '\0') {
-            policy.rerouteAfterAttempts =
-                std::clamp(std::atoi(after), 0, 16);
-        }
-    }
     return policy;
 }
 

@@ -6,6 +6,11 @@
  * application and platform: transfer scheme (inline vs. decoupled),
  * decoupled mechanism (polling vs. CDP vs. future hardware), transfer
  * granularity, and transfer thread count.
+ *
+ * This header also holds the fault stack's only environment reads:
+ * the PROACT_FAULTS family and PROACT_NODES (see "Environment knobs"
+ * below). Every other fault, health, checkpoint and recovery setting
+ * is set in code.
  */
 
 #ifndef PROACT_PROACT_CONFIG_HH
@@ -13,9 +18,6 @@
 
 #include "faults/fault_plan.hh"
 #include "faults/retry.hh"
-#include "health/device_health.hh"
-#include "health/link_health.hh"
-#include "interconnect/rerouter.hh"
 #include "sim/types.hh"
 #include "system/platform.hh"
 
@@ -104,9 +106,14 @@ std::vector<std::uint64_t> chunkSizeSweep();
 /** Paper's studied transfer-thread sweep: 32 ... 8192. */
 std::vector<std::uint32_t> threadCountSweep();
 
-/** @{ @name Environment-variable fault knobs
+/** @{ @name Environment knobs
  *
- * Benchmarks enable fault injection without recompiling:
+ * Benchmarks enable fault injection without recompiling. PROACT_FAULTS
+ * is the master switch; every fault-adaptive layer behind it (link
+ * health, rerouting, adaptive re-profiling) is armed whenever it is on.
+ * Finer control — thresholds, checkpoints, the device watchdog,
+ * recovery — goes through Session::RunOptions or
+ * fleet::FleetSession::Options.
  *  - PROACT_FAULTS=1            master switch (0/unset = off)
  *  - PROACT_FAULT_DROP_RATE     delivery-loss probability
  *                               (default 0.01, clamped to [0, 1])
@@ -116,38 +123,9 @@ std::vector<std::uint32_t> threadCountSweep();
  *  - PROACT_FAULT_SEED          drop-decision seed (default 1)
  *  - PROACT_RETRY_MAX_ATTEMPTS  retry budget before the reliable
  *                               fallback (default 5, clamp [1, 16])
- *  - PROACT_RETRY_REROUTE_AFTER lost attempts before a retrying
- *                               transfer consults the rerouter for an
- *                               alternate route (default 2 when
- *                               rerouting is on, clamp [0, 16];
- *                               0 = never re-plan mid-retry)
- *
- * Fault-adaptive runtime knobs (each defaults to on whenever
- * PROACT_FAULTS is on; set to 0 to ablate one layer):
- *  - PROACT_HEALTH=0/1          per-link health monitoring
- *  - PROACT_REROUTE=0/1         detours/splits around unhealthy links
- *                               (implies health monitoring)
- *  - PROACT_REPROFILE=0/1       re-profile + config hot-swap at
- *                               iteration boundaries on link-state
- *                               changes (implies health monitoring)
- *  - PROACT_REROUTE_QUEUE_WEIGHT=0/1 weight CONGESTED legs by
- *                               1/(1 + queueDelay ratio) instead of
- *                               the rerouter's flat discount, so
- *                               sustained multi-tenant hotspots
- *                               spread proportionally (default 0)
- *
- * Health-classification thresholds (read by envHealthPolicy when the
- * monitor is enabled from the environment):
- *  - PROACT_HEALTH_CONGEST_RATIO enter CONGESTED when the EWMA of
- *                               queueing delay over expected service
- *                               time exceeds this (default 2.0,
- *                               clamp [0.1, 1000])
- *  - PROACT_HEALTH_CLEAR_RATIO  leave CONGESTED below this (default
- *                               0.75, clamped under the enter
- *                               threshold to preserve hysteresis)
- *  - PROACT_HEALTH_HOLDOFF_US   minimum microseconds between state
- *                               changes of one link, DOWN exempt
- *                               (default 0 = off, clamp [0, 1e6])
+ *  - PROACT_NODES               chassis count for environment-built
+ *                               platforms (default 1 = one DGX-2,
+ *                               clamp [1, 64])
  */
 
 /** Whether PROACT_FAULTS enables fault injection. */
@@ -163,99 +141,17 @@ FaultPlan envFaultPlan();
 
 /**
  * Retry policy matching envFaultPlan(): enabled iff faults are, with
- * the PROACT_RETRY_MAX_ATTEMPTS budget applied.
+ * the PROACT_RETRY_MAX_ATTEMPTS budget applied and reroute-aware
+ * retry after two lost attempts.
  */
 RetryPolicy envRetryPolicy();
-
-/** Whether link health monitoring is enabled (PROACT_HEALTH). */
-bool envHealthEnabled();
-
-/** Whether fault-adaptive rerouting is enabled (PROACT_REROUTE). */
-bool envRerouteEnabled();
-
-/** Whether adaptive re-profiling is enabled (PROACT_REPROFILE). */
-bool envReprofileEnabled();
-
-/**
- * Route-selection knobs from the environment: ReroutePolicy's one
- * field, queueWeightedCongestion, from PROACT_REROUTE_QUEUE_WEIGHT
- * (queueing-theoretic congestion split instead of the rerouter's flat
- * congested-leg discount). Every other routing threshold is a fixed
- * constant of the Rerouter.
- */
-ReroutePolicy envReroutePolicy();
-
-/**
- * Monitor thresholds from the environment: library defaults with the
- * PROACT_HEALTH_CONGEST_RATIO / PROACT_HEALTH_CLEAR_RATIO /
- * PROACT_HEALTH_HOLDOFF_US overrides applied (and the congestion
- * hysteresis gap re-established if the overrides inverted it).
- */
-HealthPolicy envHealthPolicy();
-/** @} */
-
-/** @{ @name Device-loss tolerance knobs
- *
- * All default OFF so existing golden timings are untouched:
- *  - PROACT_CHECKPOINT=1              iteration-boundary checkpoints
- *  - PROACT_CHECKPOINT_INTERVAL       iterations between checkpoints
- *                                     (default 1, clamp [1, 1e6])
- *  - PROACT_CHECKPOINT_COST_US        simulated microseconds per
- *                                     checkpoint (default 50, clamp
- *                                     [0, 1e9])
- *  - PROACT_DEVICE_HEALTH=1           device heartbeat watchdog
- *  - PROACT_DEVICE_HEALTH_INTERVAL_US heartbeat period (default 5,
- *                                     clamp [1, 1e6])
- *  - PROACT_DEVICE_HEALTH_SUSPECT_MISSES consecutive missed beats
- *                                     before SUSPECT (default 1)
- *  - PROACT_DEVICE_HEALTH_LOST_MISSES consecutive missed beats before
- *                                     LOST (default 3)
- *  - PROACT_REPROFILE_CHARGE=1        charge the adaptive reprofiler's
- *                                     narrowed sweeps (and the fleet
- *                                     elector's cache-miss sweeps) to
- *                                     the simulated timeline
- */
-
-/** Whether PROACT_CHECKPOINT enables checkpointing. */
-bool envCheckpointEnabled();
-
-/** Checkpoint policy from the environment (enabled iff
- * envCheckpointEnabled()). */
-CheckpointPolicy envCheckpointPolicy();
-
-/** Whether PROACT_DEVICE_HEALTH enables the device watchdog. */
-bool envDeviceHealthEnabled();
-
-/** Watchdog thresholds from the environment. */
-DeviceHealthPolicy envDeviceHealthPolicy();
-
-/** Whether PROACT_REPROFILE_CHARGE charges online sweeps. */
-bool envReprofileChargeEnabled();
-/** @} */
-
-/** @{ @name Multi-node fabric knobs
- *
- * Benchmarks scale from one DGX-2 chassis to a hierarchical N-node
- * fabric without recompiling:
- *  - PROACT_NODES            chassis count for environment-built
- *                            platforms (default 1 = one DGX-2,
- *                            clamp [1, 64])
- *  - PROACT_INTER_BW_GBPS    per-GPU bidirectional network-tier
- *                            bandwidth in GB/s (default 12.5, clamp
- *                            [1, 400])
- *  - PROACT_INTER_LATENCY_US network-tier one-way latency in
- *                            microseconds (default 2.5; clamped up
- *                            to the intra-node latency, since a
- *                            cross-node hop is never the faster one)
- */
 
 /** Node count from PROACT_NODES. */
 int envNodes();
 
 /**
  * Environment-selected platform: one DGX-2 when PROACT_NODES is
- * unset or 1, otherwise multiNodePlatform(envNodes(), gpus_per_node)
- * with the PROACT_INTER_* network-tier overrides applied.
+ * unset or 1, otherwise multiNodePlatform(envNodes(), gpus_per_node).
  */
 PlatformSpec envMultiNodePlatform(int gpus_per_node = 16);
 /** @} */

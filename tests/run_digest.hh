@@ -36,8 +36,7 @@ runDigest(const ParadigmRun &r)
        << " refused=" << r.refusedDeliveries
        << " quiesced=" << r.quiescedFlights
        << " orphaned=" << r.orphanedTransfers
-       << " sweeps=" << r.reprofileSweeps
-       << " charged=" << r.reprofileChargedTicks << " ["
+       << " sweeps=" << r.reprofileSweeps << " ["
        << r.faultSummary() << "]";
     return os.str();
 }

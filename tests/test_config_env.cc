@@ -4,7 +4,10 @@
  * parsing used by the benchmark harnesses.
  */
 
+#include "harness/session.hh"
 #include "proact/config.hh"
+#include "tests/run_digest.hh"
+#include "tests/small_workloads.hh"
 #include "workloads/registry.hh"
 
 #include "sim/logging.hh"
@@ -184,22 +187,47 @@ TEST(ConfigEnv, DecoupledPredicate)
     }
 }
 
-TEST(ConfigEnv, RerouteQueueWeightKnob)
+TEST(Session, EnvFaultsMatchExplicitRunOptions)
 {
-    // Default: flat congestedPenalty discount, knob off.
-    ScopedEnv off("PROACT_REROUTE_QUEUE_WEIGHT", nullptr);
-    EXPECT_FALSE(envReroutePolicy().queueWeightedCongestion);
-    {
-        ScopedEnv zero("PROACT_REROUTE_QUEUE_WEIGHT", "0");
-        EXPECT_FALSE(envReroutePolicy().queueWeightedCongestion);
-    }
-    {
-        ScopedEnv on("PROACT_REROUTE_QUEUE_WEIGHT", "1");
-        EXPECT_TRUE(envReroutePolicy().queueWeightedCongestion);
-    }
-    {
-        // Any non-"0" value enables, matching the other layer knobs.
-        ScopedEnv on("PROACT_REROUTE_QUEUE_WEIGHT", "yes");
-        EXPECT_TRUE(envReroutePolicy().queueWeightedCongestion);
-    }
+    // PROACT_FAULTS is the one environment path into the fault stack:
+    // the short run() overload must arm exactly what an explicit
+    // RunOptions with the env plan, the env retry policy and every
+    // fault-adaptive layer arms. Half the deliveries are lost, so
+    // links go DOWN and rerouting and re-profiling both act.
+    ScopedEnv on("PROACT_FAULTS", "1");
+    ScopedEnv seed("PROACT_FAULT_SEED", "7");
+    ScopedEnv drop("PROACT_FAULT_DROP_RATE", "0.5");
+    ScopedEnv degrade("PROACT_FAULT_DEGRADE", nullptr);
+    ScopedEnv attempts("PROACT_RETRY_MAX_ATTEMPTS", nullptr);
+
+    const WorkloadFactory factory = [](int gpus) {
+        auto workload = test::makeSmallWorkload("Jacobi");
+        workload->setup(gpus);
+        return workload;
+    };
+    TransferConfig config;
+    config.mechanism = TransferMechanism::Polling;
+    Session session(voltaPlatform());
+
+    auto env_workload = factory(session.platform().numGpus);
+    const ParadigmRun from_env =
+        session.run(*env_workload, Paradigm::ProactDecoupled, config,
+                    /*functional=*/true, factory);
+
+    Session::RunOptions options;
+    options.config = config;
+    options.armFaults = true;
+    options.faults = envFaultPlan();
+    options.retry = envRetryPolicy();
+    options.health = options.reroute = options.reprofile = true;
+    options.reprofileFactory = factory;
+    auto explicit_workload = factory(session.platform().numGpus);
+    const ParadigmRun from_options = session.run(
+        *explicit_workload, Paradigm::ProactDecoupled, options);
+
+    EXPECT_GT(from_env.faultsDropped, 0u);
+    EXPECT_GT(from_env.retries, 0u);
+    EXPECT_GT(from_env.reroutes, 0u);
+    EXPECT_GT(from_env.reprofileSweeps, 0u);
+    EXPECT_EQ(test::runDigest(from_env), test::runDigest(from_options));
 }

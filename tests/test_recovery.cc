@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <tuple>
@@ -488,23 +487,6 @@ TEST(RecoveryFleet, ElectedAtTickMovesWhenChargingIsOn)
               paid.admitted + paid.electionSweepTicks);
 }
 
-TEST(RecoveryFleet, ElectionChargeDefaultsFromEnvironment)
-{
-    // The fleet face of PROACT_REPROFILE_CHARGE: the option's default
-    // follows the environment so benches arm it without plumbing.
-    setenv("PROACT_REPROFILE_CHARGE", "1", 1);
-    const FleetSession::Options armed;
-    EXPECT_TRUE(armed.chargeElections);
-
-    setenv("PROACT_REPROFILE_CHARGE", "0", 1);
-    const FleetSession::Options disarmed;
-    EXPECT_FALSE(disarmed.chargeElections);
-
-    unsetenv("PROACT_REPROFILE_CHARGE");
-    const FleetSession::Options unset;
-    EXPECT_FALSE(unset.chargeElections);
-}
-
 namespace {
 
 /** Fleet options arming recovery with a mid-run GPU loss for
@@ -640,45 +622,4 @@ TEST(RecoveryFleet, RecoveryServesAreBitIdentical)
         EXPECT_EQ(a.recoveries[i].readmitTick,
                   b.recoveries[i].readmitTick);
     }
-}
-
-TEST(RecoveryEnv, PoliciesClampAndDefaultOff)
-{
-    // Defaults: everything off, nothing charged.
-    EXPECT_FALSE(envCheckpointEnabled());
-    EXPECT_FALSE(envDeviceHealthEnabled());
-    EXPECT_FALSE(envReprofileChargeEnabled());
-    EXPECT_FALSE(envRecoveryPolicy().enabled);
-
-    setenv("PROACT_CHECKPOINT", "1", 1);
-    setenv("PROACT_CHECKPOINT_INTERVAL", "0", 1); // Clamped up to 1.
-    setenv("PROACT_CHECKPOINT_COST_US", "10", 1);
-    const CheckpointPolicy cp = envCheckpointPolicy();
-    EXPECT_TRUE(cp.enabled);
-    EXPECT_EQ(cp.interval, 1);
-    EXPECT_EQ(cp.cost, Tick{10 * us});
-
-    setenv("PROACT_DEVICE_HEALTH_SUSPECT_MISSES", "9", 1);
-    setenv("PROACT_DEVICE_HEALTH_LOST_MISSES", "4", 1);
-    const DeviceHealthPolicy dh = envDeviceHealthPolicy();
-    EXPECT_EQ(dh.lostAfterMisses, 4);
-    EXPECT_LE(dh.suspectAfterMisses, dh.lostAfterMisses);
-
-    setenv("PROACT_RECOVERY", "1", 1);
-    setenv("PROACT_RECOVERY_MIN_GPUS", "1", 1); // Clamped up to 2.
-    setenv("PROACT_RECOVERY_MAX_ATTEMPTS", "99", 1);
-    const RecoveryPolicy rp = envRecoveryPolicy();
-    EXPECT_TRUE(rp.enabled);
-    EXPECT_TRUE(rp.checkpoint.enabled); // Forced on with recovery.
-    EXPECT_EQ(rp.minGpus, 2);
-    EXPECT_EQ(rp.maxAttempts, 16);
-
-    unsetenv("PROACT_CHECKPOINT");
-    unsetenv("PROACT_CHECKPOINT_INTERVAL");
-    unsetenv("PROACT_CHECKPOINT_COST_US");
-    unsetenv("PROACT_DEVICE_HEALTH_SUSPECT_MISSES");
-    unsetenv("PROACT_DEVICE_HEALTH_LOST_MISSES");
-    unsetenv("PROACT_RECOVERY");
-    unsetenv("PROACT_RECOVERY_MIN_GPUS");
-    unsetenv("PROACT_RECOVERY_MAX_ATTEMPTS");
 }
