@@ -27,6 +27,8 @@
  *  5. Workload setup — R-MAT generation throughput (edges/s, median
  *     of 5) at the registry's Pagerank input size at scale shift 3
  *     (recorded only).
+ *  6. Code size — lines of the .cc and .hh files under src/ and
+ *     bench/ of the tree the binary was built from (recorded only).
  *
  * Default run executes the driver and writes the JSON; pass --gbench
  * [gbench args...] for the original google-benchmark microbenches.
@@ -50,8 +52,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <queue>
 #include <sstream>
@@ -462,6 +467,30 @@ BM_TimingOnlyRun(benchmark::State &state)
 }
 BENCHMARK(BM_TimingOnlyRun);
 
+/**
+ * Lines in the .cc and .hh files under @p dir of the source tree this
+ * binary was built from (0 when that tree is gone).
+ */
+std::uint64_t
+sourceLines(const char *dir)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    std::uint64_t lines = 0;
+    for (fs::recursive_directory_iterator
+             it(fs::path(PROACT_SOURCE_DIR) / dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const fs::path &path = it->path();
+        if (path.extension() != ".cc" && path.extension() != ".hh")
+            continue;
+        std::ifstream in(path);
+        lines += static_cast<std::uint64_t>(
+            std::count(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>(), '\n'));
+    }
+    return lines;
+}
+
 int
 runDriver()
 {
@@ -615,6 +644,9 @@ runDriver()
          << "    \"runs\": " << rmat_runs << ",\n"
          << "    \"median_seconds\": " << rmat_median << ",\n"
          << "    \"edges_per_sec\": " << rmat_edges_per_sec << "\n"
+         << "  },\n  \"code_lines\": {\n"
+         << "    \"src\": " << sourceLines("src") << ",\n"
+         << "    \"bench\": " << sourceLines("bench") << "\n"
          << "  },\n  \"acceptance\": {\n"
          << "    \"serial_speedup_ok\": "
          << (gate_speedup ? "true" : "false")

@@ -8,6 +8,27 @@
 
 namespace proact {
 
+namespace {
+
+/** Minimum wait for an ack before declaring a delivery lost. */
+constexpr Tick ackTimeout = 5 * ticksPerMicrosecond;
+
+/** Backoff before attempt k+1 is base << (k-1), capped below. */
+constexpr Tick backoffBase = 2 * ticksPerMicrosecond;
+constexpr Tick backoffMax = 64 * ticksPerMicrosecond;
+
+/** Backoff after failed attempt @p attempt (1-based), capped. */
+Tick
+backoff(int attempt)
+{
+    Tick b = backoffBase;
+    for (int i = 1; i < attempt && b < backoffMax; ++i)
+        b *= 2;
+    return std::min(b, backoffMax);
+}
+
+} // namespace
+
 void
 RetryingSender::bumpStat(const std::string &name)
 {
@@ -63,7 +84,7 @@ RetryingSender::replan(const Interconnect::Request &req,
     // counter carried over, so the total budget still bounds the
     // chain, and replanned legs never re-plan again.
     Interconnect::Request again = req;
-    again.notBefore = _eq.curTick() + _policy.backoff(attempt_no);
+    again.notBefore = _eq.curTick() + backoff(attempt_no);
     _rerouter->send(
         [this, attempt_no](const Interconnect::Request &leg) {
             return attempt(leg, attempt_no + 1, true);
@@ -123,9 +144,9 @@ RetryingSender::attempt(const Interconnect::Request &req,
     // moment the transfer enters the fabric (after any backoff hold).
     const Tick entered = std::max(submit, req.notBefore);
     const Tick timeout =
-        std::max(predicted + 1, entered + _policy.ackTimeout);
+        std::max(predicted + 1, entered + ackTimeout);
 
-    tstate->floor = entered + _policy.ackTimeout;
+    tstate->floor = entered + ackTimeout;
     tstate->when = timeout;
     tstate->cb = [this, req, attempt_no, replanned, acked, submit] {
         if (*acked)
@@ -161,7 +182,7 @@ RetryingSender::attempt(const Interconnect::Request &req,
         bumpStat("transfers.retried");
         Interconnect::Request again = req;
         again.notBefore =
-            _eq.curTick() + _policy.backoff(attempt_no);
+            _eq.curTick() + backoff(attempt_no);
         attempt(again, attempt_no + 1, replanned);
     };
     tstate->event = _eq.schedule(timeout, tstate->cb);

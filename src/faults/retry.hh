@@ -44,18 +44,14 @@ namespace proact {
 
 class Rerouter;
 
-/** Knobs of the retry state machine. */
+/**
+ * Knobs of the retry state machine. The ack timeout (5 us) and the
+ * backoff (2 us doubling per attempt, capped at 64 us) are fixed.
+ */
 struct RetryPolicy
 {
     /** Off by default: a perfect fabric needs no acknowledgements. */
     bool enabled = false;
-
-    /** Minimum wait for an ack before declaring a delivery lost. */
-    Tick ackTimeout = 5 * ticksPerMicrosecond;
-
-    /** Backoff before attempt k+1 is base << (k-1), capped below. */
-    Tick backoffBase = 2 * ticksPerMicrosecond;
-    Tick backoffMax = 64 * ticksPerMicrosecond;
 
     /** Total send attempts (including the first) before fallback. */
     int maxAttempts = 5;
@@ -67,16 +63,6 @@ struct RetryPolicy
      * budget and the reliable fallback are unaffected either way.
      */
     int rerouteAfterAttempts = 0;
-
-    /** Backoff after failed attempt @p attempt (1-based), capped. */
-    Tick
-    backoff(int attempt) const
-    {
-        Tick b = backoffBase;
-        for (int i = 1; i < attempt && b < backoffMax; ++i)
-            b *= 2;
-        return b < backoffMax ? b : backoffMax;
-    }
 };
 
 /**
@@ -118,8 +104,6 @@ class RetryingSender
      *         extend beyond it; eventual delivery is guaranteed.
      */
     Tick send(Interconnect::Request req);
-
-    const RetryPolicy &policy() const { return _policy; }
 
     /**
      * Attach the route planner consulted after

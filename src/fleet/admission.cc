@@ -1,14 +1,8 @@
 #include "fleet/admission.hh"
 
 #include <algorithm>
-#include <utility>
 
 namespace proact::fleet {
-
-AdmissionController::AdmissionController(AdmissionPolicy policy)
-    : _policy(std::move(policy))
-{
-}
 
 void
 AdmissionController::sortQueue(std::vector<const JobSpec *> &queue)
@@ -42,8 +36,7 @@ AdmissionController::tryAdmit(const JobSpec &job,
     // the monitor to clear the plane. shareCount > 1 is the sharing
     // signal — a plane all to ourselves is fine even if its EWMA has
     // not decayed yet.
-    if (_policy.deferOnCongestion && placement->shareCount > 1
-        && congested) {
+    if (placement->shareCount > 1 && congested) {
         bool blocked = false;
         for (const int plane : placement->planes)
             blocked = blocked || congested(plane);

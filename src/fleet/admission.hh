@@ -24,21 +24,12 @@
 
 namespace proact::fleet {
 
-/** Admission knobs. */
-struct AdmissionPolicy
-{
-    /** Defer co-location onto CONGESTED planes. */
-    bool deferOnCongestion = true;
-};
-
 /** Orders the queue and decides who may start now. */
 class AdmissionController
 {
   public:
     /** Tells whether a plane's port group is currently congested. */
     using CongestionQuery = std::function<bool(int plane)>;
-
-    explicit AdmissionController(AdmissionPolicy policy = {});
 
     /**
      * Admission order: priority desc, then arrival asc, then id asc.
@@ -68,7 +59,6 @@ class AdmissionController
     const StatSet &stats() const { return _stats; }
 
   private:
-    AdmissionPolicy _policy;
     StatSet _stats;
 };
 

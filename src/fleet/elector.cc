@@ -1,6 +1,7 @@
 #include "fleet/elector.hh"
 
 #include "proact/profiler.hh"
+#include "proact/reprofiler.hh"
 #include "sim/logging.hh"
 #include "workloads/registry.hh"
 
@@ -8,14 +9,20 @@
 
 namespace proact::fleet {
 
-StrategyElector::StrategyElector(PlatformSpec platform,
-                                 Options options)
-    : _platform(std::move(platform)), _options(std::move(options))
-{
-}
+namespace {
+
+/**
+ * Scale shift of the short profiling instance. The election
+ * optimizes communication ratios, which are scale-invariant by
+ * construction, so a heavily scaled-down instance elects the same
+ * winner at a fraction of the cost.
+ */
+constexpr int electionScaleShift = 6;
+
+} // namespace
 
 StrategyElector::StrategyElector(PlatformSpec platform)
-    : StrategyElector(std::move(platform), Options{})
+    : _platform(std::move(platform))
 {
 }
 
@@ -49,18 +56,18 @@ StrategyElector::elect(const std::string &workload, int gpus,
     slice.fabric.perGpuBidirBandwidth /=
         static_cast<double>(share_count);
 
-    Profiler::Options opts = AdaptiveReprofiler::narrowedOptions(
-        _options.anchor, _options.narrow);
-    opts.includeInline = _options.considerInline;
-    opts.profileIterations = _options.profileIterations;
+    // The window sits around the default config; PROACT-inline may
+    // win outright.
+    Profiler::Options opts =
+        AdaptiveReprofiler::narrowedOptions(TransferConfig{}, {});
+    opts.includeInline = true;
 
     Profiler profiler(slice, opts);
-    auto instance = makeWorkload(workload, _options.scaleShift);
+    auto instance = makeWorkload(workload, electionScaleShift);
     instance->setup(gpus);
     const ProfileResult result = profiler.profile(*instance);
     _stats.inc("elect.candidates",
-               static_cast<double>(result.entries.size())
-                   + (opts.includeInline ? 1.0 : 0.0));
+               static_cast<double>(result.entries.size()) + 1.0);
 
     Election election;
     election.config = result.best;

@@ -7,16 +7,17 @@
  * The elector keys results on (workload, gpus, shareCount): a cache
  * hit costs nothing; a miss runs a *narrowed* profiler sweep — the
  * same windowed search space the AdaptiveReprofiler uses online
- * (AdaptiveReprofiler::narrowedOptions) — on a bandwidth-scaled copy
- * of the platform, then memoizes the winner for every later tenant
- * of the same shape.
+ * (AdaptiveReprofiler::narrowedOptions) around the default
+ * TransferConfig, plus PROACT-inline — on a bandwidth-scaled copy of
+ * the platform, then memoizes the winner for every later tenant of
+ * the same shape.
  */
 
 #ifndef PROACT_FLEET_ELECTOR_HH
 #define PROACT_FLEET_ELECTOR_HH
 
 #include "harness/paradigm.hh"
-#include "proact/reprofiler.hh"
+#include "proact/config.hh"
 #include "sim/stats.hh"
 #include "system/platform.hh"
 
@@ -47,33 +48,6 @@ struct Election
 class StrategyElector
 {
   public:
-    struct Options
-    {
-        /** Narrowed-window shape shared with the reprofiler. */
-        AdaptiveReprofiler::Options narrow;
-
-        /** Centre of the narrowed window on a cache miss. */
-        TransferConfig anchor;
-
-        /** Let the sweep elect ProactInline when it wins outright. */
-        bool considerInline = true;
-
-        /** Iterations per candidate in the election sweep. */
-        int profileIterations = 1;
-
-        /**
-         * Scale shift of the short profiling instance (the election
-         * optimizes communication ratios, which are scale-invariant
-         * by construction, so a heavily scaled-down instance elects
-         * the same winner at a fraction of the cost).
-         */
-        int scaleShift = 6;
-    };
-
-    StrategyElector(PlatformSpec platform, Options options);
-
-    /** Same, with default Options (overload: a nested class's member
-     * initializers cannot appear in a default argument). */
     explicit StrategyElector(PlatformSpec platform);
 
     /**
@@ -94,7 +68,6 @@ class StrategyElector
 
   private:
     PlatformSpec _platform;
-    Options _options;
     StatSet _stats;
     std::map<std::string, Election> _cache;
 };

@@ -1,5 +1,7 @@
 #include "fleet/fleet_session.hh"
 
+#include "fleet/admission.hh"
+#include "proact/runtime.hh"
 #include "sim/logging.hh"
 #include "workloads/registry.hh"
 
@@ -15,6 +17,31 @@
 
 namespace proact::fleet {
 
+namespace {
+
+/** A resumed job is never shrunk below this many GPUs. */
+constexpr int recoveryMinGpus = 2;
+
+/** Restart budget per job; exceeding it is a fleet error. */
+constexpr int recoveryMaxAttempts = 4;
+
+/**
+ * @{ @name Synthetic plane-contention feed
+ * Queue-ratio target and sample counts booked on a plane's
+ * representative link when it becomes shared / empties. The shared
+ * ratio must exceed the monitor's CONGESTED entry threshold for
+ * sharing to register.
+ */
+constexpr double sharedQueueRatio = 4.0;
+constexpr int congestionFeedSamples = 6;
+constexpr int congestionClearSamples = 12;
+constexpr std::uint64_t congestionSampleBytes = 1 * MiB;
+/** @} */
+
+static_assert(sharedQueueRatio
+              > LinkHealthMonitor::congestedQueueRatio);
+
+/** Monitor policy used for the fleet-level congestion state. */
 HealthPolicy
 fleetHealthPolicy()
 {
@@ -25,6 +52,8 @@ fleetHealthPolicy()
     policy.probeInterval = 0;
     return policy;
 }
+
+} // namespace
 
 Tick
 FleetReport::percentile(std::vector<Tick> values, double p)
@@ -178,7 +207,7 @@ FleetReport::toJson(const std::string &platform_name,
 
 FleetSession::FleetSession(PlatformSpec platform, Options options)
     : _platform(std::move(platform)), _options(std::move(options)),
-      _elector(_platform, _options.elector),
+      _elector(_platform),
       _fabric(_eq, _platform.fabric, _platform.numGpus),
       _monitor(_eq, _fabric, fleetHealthPolicy())
 {
@@ -212,7 +241,7 @@ FleetSession::feedPlane(const PlacementAllocator &allocator,
         ? _fabric.pairPacketModel(src, dst)
         : _fabric.packetModel();
     const std::uint64_t wire = packet.wireBytes(
-        _options.congestionSampleBytes, packet.maxPayloadBytes);
+        congestionSampleBytes, packet.maxPayloadBytes);
     double nominal = _fabric.spec().egressRate();
     if (_fabric.pairwise())
         nominal = _fabric.nominalPairRate(src, dst);
@@ -225,8 +254,7 @@ FleetSession::feedPlane(const PlacementAllocator &allocator,
         static_cast<Tick>(ratio * static_cast<double>(expected));
 
     for (int i = 0; i < samples; ++i) {
-        _monitor.recordSample(src, dst,
-                              _options.congestionSampleBytes,
+        _monitor.recordSample(src, dst, congestionSampleBytes,
                               queue_delay, expected);
     }
 }
@@ -256,7 +284,6 @@ FleetSession::runTenant(const JobSpec &job,
         static_cast<double>(placement.shareCount);
 
     auto workload = makeWorkload(job.workload, _options.scaleShift);
-    workload->setFootprintScale(_options.footprintScale);
     workload->setup(job.gpus);
 
     Session::RunOptions run_options;
@@ -271,8 +298,7 @@ FleetSession::runTenant(const JobSpec &job,
         run_options.deliveryObserver = _options.observerFor(job);
     if (_options.recovery.enabled) {
         run_options.deviceHealth = true;
-        run_options.deviceHealthPolicy = _options.recovery.deviceHealth;
-        run_options.checkpoint = _options.recovery.checkpoint;
+        run_options.checkpoint = true;
         run_options.firstIteration = first_iteration;
     }
 
@@ -288,7 +314,7 @@ FleetSession::runTenant(const JobSpec &job,
     // (and the run starts) only after its charged cost elapses.
     rec.electedAt = now + rec.electionSweepTicks;
     if (first_iteration > 0)
-        rec.restoreTicks = _options.recovery.checkpoint.cost;
+        rec.restoreTicks = ProactRuntime::checkpointCost;
     rec.serviceTicks =
         rec.run.ticks + rec.electionSweepTicks + rec.restoreTicks;
     rec.completion = now + rec.serviceTicks;
@@ -301,9 +327,8 @@ FleetSession::runTenant(const JobSpec &job,
 FleetReport
 FleetSession::serve(const std::vector<JobSpec> &jobs)
 {
-    PlacementAllocator allocator(_platform, _options.placement,
-                                 _options.maxTenantsPerPlane);
-    AdmissionController admission(_options.admission);
+    PlacementAllocator allocator(_platform, _options.placement);
+    AdmissionController admission;
 
     const double sweeps_before = _elector.stats().get("elect.sweeps");
     const double hits_before =
@@ -368,7 +393,7 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
             for (const int plane : done.placement.planes) {
                 if (allocator.tenantsOnPlane(plane) == 0) {
                     feedPlane(allocator, plane,
-                              _options.congestionClearSamples, 0.0);
+                              congestionClearSamples, 0.0);
                 }
             }
 
@@ -381,10 +406,9 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
 
                 ResumeState &state = resume[done.job.id];
                 state.attempt = done.attempt + 1;
-                if (state.attempt > _options.recovery.maxAttempts) {
+                if (state.attempt > recoveryMaxAttempts) {
                     fatalError("FleetSession: job ", done.job.id,
-                               " exceeded ",
-                               _options.recovery.maxAttempts,
+                               " exceeded ", recoveryMaxAttempts,
                                " restart attempts");
                 }
                 // Checkpoints from earlier attempts survive: an
@@ -420,11 +444,11 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
                 JobSpec restart = done.job;
                 const int capacity = allocator.maxAllocatableGpus();
                 if (restart.gpus > capacity) {
-                    if (capacity < _options.recovery.minGpus) {
+                    if (capacity < recoveryMinGpus) {
                         fatalError("FleetSession: only ", capacity,
                                    " allocatable GPUs left, below "
                                    "the recovery floor of ",
-                                   _options.recovery.minGpus);
+                                   recoveryMinGpus);
                     }
                     restart.gpus = capacity;
                 }
@@ -450,11 +474,10 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
                 // plane can ever grant (same floor as a respawn) and
                 // retry at once — this pass may be the last event.
                 const int capacity = allocator.maxAllocatableGpus();
-                if (capacity < _options.recovery.minGpus) {
+                if (capacity < recoveryMinGpus) {
                     fatalError("FleetSession: only ", capacity,
                                " allocatable GPUs left, below the "
-                               "recovery floor of ",
-                               _options.recovery.minGpus);
+                               "recovery floor of ", recoveryMinGpus);
                 }
                 JobSpec shrunk = *spec;
                 shrunk.gpus = capacity;
@@ -485,9 +508,8 @@ FleetSession::serve(const std::vector<JobSpec> &jobs)
             // Fresh co-location backs up the plane's port group.
             for (const int plane : placement->planes) {
                 if (allocator.tenantsOnPlane(plane) > 1) {
-                    feedPlane(allocator, plane,
-                              _options.congestionFeedSamples,
-                              _options.sharedQueueRatio);
+                    feedPlane(allocator, plane, congestionFeedSamples,
+                              sharedQueueRatio);
                 }
             }
             it = pending.erase(it);

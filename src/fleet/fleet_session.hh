@@ -33,7 +33,6 @@
 #ifndef PROACT_FLEET_FLEET_SESSION_HH
 #define PROACT_FLEET_FLEET_SESSION_HH
 
-#include "fleet/admission.hh"
 #include "fleet/elector.hh"
 #include "fleet/job.hh"
 #include "fleet/placement.hh"
@@ -51,31 +50,19 @@
 namespace proact::fleet {
 
 /**
- * Device-loss recovery behaviour for the whole fleet (ISSUE:
- * checkpointed job recovery and GPU quarantine). When enabled, every
- * tenant runs with the device watchdog and iteration-boundary
+ * Device-loss recovery behaviour for the whole fleet. When enabled,
+ * every tenant runs with the device watchdog and iteration-boundary
  * checkpoints armed; an aborted tenant releases its placement, the
  * dead physical GPU is quarantined for the rest of the serve, and
  * the job re-enters the admission queue to restart from its latest
- * checkpoint — shrunk onto surviving GPUs when its original request
- * no longer fits any plane.
+ * checkpoint (paying one ProactRuntime::checkpointCost to restore) —
+ * shrunk onto surviving GPUs when its original request no longer
+ * fits any plane, but never below two GPUs. A job may restart at
+ * most four times; a fifth loss is a fleet error.
  */
 struct RecoveryPolicy
 {
     bool enabled = false;
-
-    /** Checkpoints for every tenant run (restore costs one
-     * checkpoint.cost at restart). */
-    CheckpointPolicy checkpoint{true};
-
-    /** Watchdog thresholds for every tenant run. */
-    DeviceHealthPolicy deviceHealth;
-
-    /** Never shrink a resumed job below this many GPUs. */
-    int minGpus = 2;
-
-    /** Restart budget per job; exceeding it is a fleet error. */
-    int maxAttempts = 4;
 };
 
 /** Everything the fleet learned about one served tenant. */
@@ -210,19 +197,14 @@ class FleetSession
   public:
     struct Options
     {
+        /** Up to two tenants per plane when sharing. */
         PlacementMode placement = PlacementMode::PlaneSharing;
-        int maxTenantsPerPlane = 2;
-        AdmissionPolicy admission;
-        StrategyElector::Options elector;
 
         /** Functional (verified) tenant runs; timing-only default. */
         bool functional = false;
 
         /** Scale shift applied to every tenant workload instance. */
         int scaleShift = 6;
-
-        /** Footprint scale applied to every tenant instance. */
-        std::uint64_t footprintScale = 1;
 
         /**
          * Per-tenant fault schedule (empty plan = clean run). Lets
@@ -250,18 +232,6 @@ class FleetSession
          */
         std::function<Interconnect::DeliveryObserver(const JobSpec &)>
             observerFor;
-
-        /** @{ @name Synthetic plane-contention feed
-         * Queue-ratio target and sample counts booked on a plane's
-         * representative link when it becomes shared / empties.
-         * sharedQueueRatio must exceed the monitor's CONGESTED entry
-         * threshold for sharing to register.
-         */
-        double sharedQueueRatio = 4.0;
-        int congestionFeedSamples = 6;
-        int congestionClearSamples = 12;
-        std::uint64_t congestionSampleBytes = 1 * MiB;
-        /** @} */
     };
 
     FleetSession(PlatformSpec platform, Options options);
@@ -307,9 +277,6 @@ class FleetSession
                            const Placement &placement, Tick now,
                            int attempt, int first_iteration);
 };
-
-/** Monitor policy used for the fleet-level congestion state. */
-HealthPolicy fleetHealthPolicy();
 
 } // namespace proact::fleet
 

@@ -36,7 +36,7 @@ std::unique_ptr<Runtime>
 makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
             const TransferConfig &config,
             AdaptiveReprofiler *reprofiler,
-            const CheckpointPolicy &checkpoint, int first_iteration)
+            bool checkpoint, int first_iteration)
 {
     switch (paradigm) {
       case Paradigm::CudaMemcpy:

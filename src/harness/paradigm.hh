@@ -45,9 +45,9 @@ class AdaptiveReprofiler;
  * @param reprofiler Optional fault-adaptive reprofiler, consulted at
  *        iteration boundaries by the PROACT runtimes (ignored by the
  *        baselines). Not owned; may be nullptr.
- * @param checkpoint Iteration-boundary checkpoint policy for the
- *        PROACT runtimes (the baselines have no consistent boundary
- *        to checkpoint at and ignore it).
+ * @param checkpoint Iteration-boundary checkpoints for the PROACT
+ *        runtimes (the baselines have no consistent boundary to
+ *        checkpoint at and ignore it).
  * @param first_iteration Resume point for a recovery restart (PROACT
  *        runtimes only; 0 = run from the start).
  */
@@ -55,7 +55,7 @@ std::unique_ptr<Runtime>
 makeRuntime(Paradigm paradigm, MultiGpuSystem &system,
             const TransferConfig &config = {},
             AdaptiveReprofiler *reprofiler = nullptr,
-            const CheckpointPolicy &checkpoint = {},
+            bool checkpoint = false,
             int first_iteration = 0);
 
 } // namespace proact

@@ -99,7 +99,7 @@ Session::run(Workload &workload, Paradigm paradigm,
         system.fabric().setRebooking(true);
     }
     if (options.deviceHealth)
-        system.enableDeviceHealth(options.deviceHealthPolicy);
+        system.enableDeviceHealth();
     if (options.reroute)
         system.enableReroute();
     if (options.reprofile && options.reprofileFactory &&

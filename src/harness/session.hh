@@ -130,10 +130,9 @@ class Session
          * without it a device loss panics on missing deliveries.
          */
         bool deviceHealth = false;
-        DeviceHealthPolicy deviceHealthPolicy;
 
         /** Iteration-boundary checkpoints (PROACT paradigms only). */
-        CheckpointPolicy checkpoint;
+        bool checkpoint = false;
 
         /**
          * Resume a recovery restart at this iteration (normally the

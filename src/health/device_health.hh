@@ -6,10 +6,10 @@
  * *device* is a different event: every link touching it dies at once,
  * its DMA engine stops, and any job running on it must be recovered,
  * not retried. The DeviceHealthMonitor samples each GPU's liveness on
- * a periodic heartbeat and declares devices LOST with hysteresis — a
- * single missed beat only makes a device SUSPECT; it takes a
- * configurable miss streak to declare LOST, and a SUSPECT device that
- * starts answering again recovers after a clean-beat streak. LOST is
+ * a periodic 5 us heartbeat and declares devices LOST with
+ * hysteresis — a single missed beat only makes a device SUSPECT; it
+ * takes three missed beats in a row to declare LOST, and a SUSPECT
+ * device that answers two beats in a row recovers. LOST is
  * terminal for the run: the declaration is the signal on which the
  * owning system quiesces in-flight traffic and the fleet layer
  * quarantines the device and re-admits the job from its checkpoint.
@@ -19,8 +19,8 @@
  * therefore only re-arms while the queue holds other work or a
  * verdict is still pending (some device is SUSPECT), and lazily
  * re-arms from fabric activity — so it always terminates, and a
- * death mid-run is still discovered within
- * lostAfterMisses * heartbeatInterval ticks, deterministically.
+ * death mid-run is still discovered within three heartbeats (15 us),
+ * deterministically.
  */
 
 #ifndef PROACT_HEALTH_DEVICE_HEALTH_HH
@@ -47,22 +47,6 @@ enum class DeviceState
 };
 
 std::string deviceStateName(DeviceState state);
-
-/** Thresholds of the device watchdog. */
-struct DeviceHealthPolicy
-{
-    /** Liveness sampling period. */
-    Tick heartbeatInterval = 5 * ticksPerMicrosecond;
-
-    /** Missed beats before a device turns SUSPECT. */
-    int suspectAfterMisses = 1;
-
-    /** Missed beats before a SUSPECT device is declared LOST. */
-    int lostAfterMisses = 3;
-
-    /** Clean beats before a SUSPECT device recovers to HEALTHY. */
-    int recoverAfterBeats = 2;
-};
 
 /**
  * Watches every GPU of one fabric and classifies each
@@ -97,8 +81,7 @@ class DeviceHealthMonitor
      * observer lazily re-arms the watchdog whenever traffic flows.
      * The fabric must outlive the monitor.
      */
-    DeviceHealthMonitor(EventQueue &eq, Interconnect &fabric,
-                        DeviceHealthPolicy policy = {});
+    DeviceHealthMonitor(EventQueue &eq, Interconnect &fabric);
 
     ~DeviceHealthMonitor();
 
@@ -132,8 +115,6 @@ class DeviceHealthMonitor
      */
     void poke();
 
-    const DeviceHealthPolicy &policy() const { return _policy; }
-
     StatSet &stats() { return _stats; }
     const StatSet &stats() const { return _stats; }
 
@@ -149,7 +130,6 @@ class DeviceHealthMonitor
     EventQueue &_eq;
     Interconnect &_fabric;
     Interconnect::ObserverHandle _observerHandle = 0;
-    DeviceHealthPolicy _policy;
     StatSet _stats;
     std::vector<Device> _devices;
     std::vector<Listener> _listeners;

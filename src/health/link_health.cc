@@ -20,24 +20,10 @@ LinkHealthMonitor::Transition::describe() const
 LinkHealthMonitor::LinkHealthMonitor(EventQueue &eq,
                                      Interconnect &fabric,
                                      HealthPolicy policy)
-    : _eq(eq), _fabric(fabric), _policy(std::move(policy)),
+    : _eq(eq), _fabric(fabric), _policy(policy),
       _links(static_cast<std::size_t>(fabric.numGpus())
              * fabric.numGpus())
 {
-    if (_policy.downAfterLosses < 1 ||
-        _policy.recoverAfterDeliveries < 1) {
-        fatalError("LinkHealthMonitor: streak thresholds must be "
-                   "positive");
-    }
-    if (_policy.degradedBwFraction >= _policy.healthyBwFraction) {
-        fatalError("LinkHealthMonitor: hysteresis gap requires "
-                   "degradedBwFraction < healthyBwFraction");
-    }
-    if (_policy.clearQueueRatio >= _policy.congestedQueueRatio) {
-        fatalError("LinkHealthMonitor: hysteresis gap requires "
-                   "clearQueueRatio < congestedQueueRatio");
-    }
-
     _observerHandle = _fabric.addDeliveryObserver(
         [this](const Interconnect::Request &req,
                const Interconnect::DeliverySample &sample) {
@@ -191,7 +177,7 @@ LinkHealthMonitor::observe(int src, int dst, std::uint64_t wire_bytes,
         static_cast<double>(queue_delay)
         / static_cast<double>(std::max<Tick>(expected, 1));
 
-    const double a = _policy.ewmaAlpha;
+    const double a = ewmaAlpha;
     if (l.deliveries == 1) {
         l.ewmaLatency = static_cast<double>(actual);
         l.ewmaFraction = fraction;
@@ -235,7 +221,7 @@ LinkHealthMonitor::reclassify(int src, int dst)
 {
     Link &l = link(src, dst);
 
-    if (l.lossStreak >= _policy.downAfterLosses) {
+    if (l.lossStreak >= downAfterLosses) {
         setState(src, dst, LinkState::Down);
         return;
     }
@@ -249,18 +235,17 @@ LinkHealthMonitor::reclassify(int src, int dst)
     }
 
     const bool enough_samples =
-        l.deliveries >= static_cast<std::uint64_t>(_policy.minSamples);
-    const bool congested =
-        l.ewmaQueueRatio > _policy.congestedQueueRatio;
+        l.deliveries >= static_cast<std::uint64_t>(minSamples);
+    const bool congested = l.ewmaQueueRatio > congestedQueueRatio;
 
     switch (l.state) {
       case LinkState::Down:
         // Leave DOWN only after a streak of clean deliveries; land in
         // DEGRADED, CONGESTED or HEALTHY depending on what the two
         // signals say now.
-        if (l.deliverStreak >= _policy.recoverAfterDeliveries) {
+        if (l.deliverStreak >= recoverAfterDeliveries) {
             setState(src, dst,
-                     l.ewmaFraction < _policy.healthyBwFraction
+                     l.ewmaFraction < healthyBwFraction
                          ? LinkState::Degraded
                          : (congested ? LinkState::Congested
                                       : LinkState::Healthy));
@@ -268,7 +253,7 @@ LinkHealthMonitor::reclassify(int src, int dst)
         break;
       case LinkState::Healthy:
         if (enough_samples &&
-            l.ewmaFraction < _policy.degradedBwFraction) {
+            l.ewmaFraction < degradedBwFraction) {
             setState(src, dst, LinkState::Degraded);
         } else if (enough_samples && congested) {
             setState(src, dst, LinkState::Congested);
@@ -278,17 +263,17 @@ LinkHealthMonitor::reclassify(int src, int dst)
         // The wire signal always wins: a degraded rate underneath a
         // backlog is still a degraded rate.
         if (enough_samples &&
-            l.ewmaFraction < _policy.degradedBwFraction) {
+            l.ewmaFraction < degradedBwFraction) {
             setState(src, dst, LinkState::Degraded);
-        } else if (l.ewmaQueueRatio < _policy.clearQueueRatio) {
+        } else if (l.ewmaQueueRatio < clearQueueRatio) {
             setState(src, dst, LinkState::Healthy);
         }
         break;
       case LinkState::Degraded:
         // Hysteresis: recovery needs both a clean streak and the
         // bandwidth estimate back above the (higher) exit threshold.
-        if (l.deliverStreak >= _policy.recoverAfterDeliveries &&
-            l.ewmaFraction > _policy.healthyBwFraction) {
+        if (l.deliverStreak >= recoverAfterDeliveries &&
+            l.ewmaFraction > healthyBwFraction) {
             setState(src, dst,
                      congested ? LinkState::Congested
                                : LinkState::Healthy);
@@ -342,7 +327,7 @@ LinkHealthMonitor::scheduleProbe(int src, int dst)
 {
     Link &l = link(src, dst);
     if (_policy.probeInterval == 0 || l.probeScheduled ||
-        l.probeFailures >= _policy.maxProbeFailures) {
+        l.probeFailures >= maxProbeFailures) {
         return;
     }
     // No probe can revive a link whose endpoint device is dead, and
@@ -369,10 +354,10 @@ LinkHealthMonitor::sendProbe(int src, int dst)
     Interconnect::Request req;
     req.src = src;
     req.dst = dst;
-    req.bytes = _policy.probeBytes;
+    req.bytes = probeBytes;
     req.writeGranularity = static_cast<std::uint32_t>(std::min<
         std::uint64_t>(
-        _policy.probeBytes,
+        probeBytes,
         _fabric.pairPacketModel(src, dst).maxPayloadBytes));
     req.threads = 1;
     req.onComplete = [landed] { *landed = true; };

@@ -42,39 +42,12 @@
 
 namespace proact {
 
-/** Thresholds of the health state machine. */
+/**
+ * The two health settings a run may choose; every other threshold of
+ * the state machine is a LinkHealthMonitor constant.
+ */
 struct HealthPolicy
 {
-    /** EWMA weight of the newest latency / bandwidth sample. */
-    double ewmaAlpha = 0.25;
-
-    /** Consecutive losses before a link is declared DOWN. */
-    int downAfterLosses = 3;
-
-    /** Consecutive clean deliveries before a state may improve. */
-    int recoverAfterDeliveries = 4;
-
-    /**
-     * Enter DEGRADED when EWMA bandwidth falls below this fraction of
-     * nominal; leave it only above healthyBwFraction (hysteresis gap).
-     */
-    double degradedBwFraction = 0.55;
-    double healthyBwFraction = 0.8;
-
-    /** Deliveries needed before bandwidth classification kicks in. */
-    int minSamples = 3;
-
-    /**
-     * Enter CONGESTED when the EWMA of per-delivery queueing delay
-     * exceeds this multiple of the expected service time (i.e. the
-     * average delivery waits longer behind other flows than its own
-     * wire time, several times over); leave CONGESTED only once the
-     * EWMA falls below clearQueueRatio (hysteresis gap). Queueing
-     * never feeds the DEGRADED/DOWN classification.
-     */
-    double congestedQueueRatio = 2.0;
-    double clearQueueRatio = 0.75;
-
     /**
      * Minimum time between consecutive state changes of one link.
      * Transitions to DOWN are exempt (a loss streak means payload is
@@ -92,15 +65,6 @@ struct HealthPolicy
      * link started delivering again.
      */
     Tick probeInterval = 20 * ticksPerMicrosecond;
-
-    /** Probe payload on the wire. */
-    std::uint64_t probeBytes = 64;
-
-    /**
-     * Consecutive failed probes before the monitor gives up on a DOWN
-     * link (bounds event-queue lifetime; the link then stays DOWN).
-     */
-    int maxProbeFailures = 16;
 };
 
 /**
@@ -117,6 +81,49 @@ struct HealthPolicy
 class LinkHealthMonitor : public LinkStateProvider
 {
   public:
+    /** EWMA weight of the newest latency / bandwidth sample. */
+    static constexpr double ewmaAlpha = 0.25;
+
+    /** Consecutive losses before a link is declared DOWN. */
+    static constexpr int downAfterLosses = 3;
+
+    /** Consecutive clean deliveries before a state may improve. */
+    static constexpr int recoverAfterDeliveries = 4;
+
+    /**
+     * Enter DEGRADED when EWMA bandwidth falls below this fraction of
+     * nominal; leave it only above healthyBwFraction (hysteresis gap).
+     */
+    static constexpr double degradedBwFraction = 0.55;
+    static constexpr double healthyBwFraction = 0.8;
+
+    /** Deliveries needed before bandwidth classification kicks in. */
+    static constexpr int minSamples = 3;
+
+    /**
+     * Enter CONGESTED when the EWMA of per-delivery queueing delay
+     * exceeds this multiple of the expected service time (i.e. the
+     * average delivery waits longer behind other flows than its own
+     * wire time, several times over); leave CONGESTED only once the
+     * EWMA falls below clearQueueRatio (hysteresis gap). Queueing
+     * never feeds the DEGRADED/DOWN classification.
+     */
+    static constexpr double congestedQueueRatio = 2.0;
+    static constexpr double clearQueueRatio = 0.75;
+
+    static_assert(degradedBwFraction < healthyBwFraction &&
+                      clearQueueRatio < congestedQueueRatio,
+                  "hysteresis gaps need exit above entry");
+
+    /** Probe payload on the wire. */
+    static constexpr std::uint64_t probeBytes = 64;
+
+    /**
+     * Consecutive failed probes before the monitor gives up on a DOWN
+     * link (bounds event-queue lifetime; the link then stays DOWN).
+     */
+    static constexpr int maxProbeFailures = 16;
+
     /** One recorded state change (for summaries and tests). */
     struct Transition
     {
@@ -149,13 +156,6 @@ class LinkHealthMonitor : public LinkStateProvider
     /** @{ @name LinkStateProvider */
     LinkState linkState(int src, int dst) const override;
     double residualFraction(int src, int dst) const override;
-
-    /** Queueing-delay-over-service EWMA (== ewmaQueueRatio). */
-    double queueRatio(int src, int dst) const override
-    {
-        return ewmaQueueRatio(src, dst);
-    }
-
     /** @} */
 
     /**
@@ -212,8 +212,6 @@ class LinkHealthMonitor : public LinkStateProvider
      * platform" just another platform to optimize for.
      */
     FaultPlan toFaultPlan() const;
-
-    const HealthPolicy &policy() const { return _policy; }
 
     StatSet &stats() { return _stats; }
     const StatSet &stats() const { return _stats; }

@@ -92,23 +92,6 @@ class LinkStateProvider
      * degraded one, 0.0 when down.
      */
     virtual double residualFraction(int src, int dst) const = 0;
-
-    /**
-     * Observed ratio of per-delivery queueing delay (time spent
-     * behind other flows at shared ports) to expected service time:
-     * 0 on a quiet link, > 1 when the average delivery waits longer
-     * than its own wire time. Queue-weighted routing divides
-     * congested legs' scores by (1 + this ratio) so sustained
-     * multi-tenant hotspots shed load proportionally to how backed
-     * up they actually are. Static default: always quiet.
-     */
-    virtual double
-    queueRatio(int src, int dst) const
-    {
-        (void)src;
-        (void)dst;
-        return 0.0;
-    }
 };
 
 } // namespace proact

@@ -68,9 +68,8 @@ static_assert(planTtl > 0);
 } // namespace
 
 Rerouter::Rerouter(EventQueue &eq, Interconnect &fabric,
-                   const LinkStateProvider &health,
-                   ReroutePolicy policy)
-    : _eq(eq), _fabric(fabric), _health(health), _policy(policy)
+                   const LinkStateProvider &health)
+    : _eq(eq), _fabric(fabric), _health(health)
 {
     const std::size_t pairs =
         static_cast<std::size_t>(fabric.numGpus()) * fabric.numGpus();
@@ -90,11 +89,9 @@ Rerouter::tierBit(int a, int b) const
 double
 Rerouter::congestionWeight(int src, int dst) const
 {
-    if (_health.linkState(src, dst) != LinkState::Congested)
-        return 1.0;
-    if (!_policy.queueWeightedCongestion)
-        return congestedPenalty;
-    return 1.0 / (1.0 + _health.queueRatio(src, dst));
+    return _health.linkState(src, dst) == LinkState::Congested
+        ? congestedPenalty
+        : 1.0;
 }
 
 std::vector<std::pair<int, double>>
@@ -110,10 +107,7 @@ Rerouter::scoredRelays(int src, int dst, bool *used_foreign) const
         // Spread-don't-detour: congested relay legs keep their full
         // residual (the wire is fine) but score lower, so the fan-out
         // leans toward quiet relays instead of piling onto a port
-        // that is already backed up. The flat penalty treats every
-        // backlog alike; queue weighting scales each leg by
-        // 1 / (1 + queueDelay ratio) so sustained hotspots shed load
-        // in proportion to how deep their queues actually are.
+        // that is already backed up.
         v *= congestionWeight(s, k);
         v *= congestionWeight(k, d);
         return v;

@@ -53,22 +53,6 @@
 
 namespace proact {
 
-/** Route-selection knobs a run may set. */
-struct ReroutePolicy
-{
-    /**
-     * Queueing-theoretic congestion weighting: instead of the flat
-     * congested-leg discount, each CONGESTED leg's score divides by
-     * (1 + queueRatio) — the provider's EWMA of queueing delay over
-     * service time — so a leg that is twice as backed up takes
-     * proportionally less of the spread. Under sustained multi-
-     * tenant hotspots the flat discount treats a barely-congested
-     * and a drowning relay identically; the queue weight splits
-     * between them by their actual backlogs.
-     */
-    bool queueWeightedCongestion = false;
-};
-
 /**
  * Plans alternate routes from the live link-health classification.
  *
@@ -123,8 +107,7 @@ class Rerouter
     static constexpr int maxRelayHops = 3;
 
     Rerouter(EventQueue &eq, Interconnect &fabric,
-             const LinkStateProvider &health,
-             ReroutePolicy policy = {});
+             const LinkStateProvider &health);
 
     /**
      * Current route decision for src -> dst: one direct leg when the
@@ -179,7 +162,6 @@ class Rerouter
     EventQueue &_eq;
     Interconnect &_fabric;
     const LinkStateProvider &_health;
-    ReroutePolicy _policy;
     mutable StatSet _stats;
 
     /**
@@ -214,9 +196,7 @@ class Rerouter
 
     /**
      * Score multiplier a leg pays for congestion on src -> dst: 1 on
-     * a non-congested link, the flat congested-leg penalty by
-     * default, or
-     * 1 / (1 + queueRatio) under queueWeightedCongestion.
+     * a non-congested link, the flat congested-leg penalty otherwise.
      */
     double congestionWeight(int src, int dst) const;
 

@@ -69,16 +69,11 @@ Profiler::profile(Workload &workload)
     ProfileResult result;
     Tick best_ticks = std::numeric_limits<Tick>::max();
 
-    // Largest per-GPU partition determines the chunk-count guard.
+    // Largest per-GPU partition of any iteration determines the
+    // chunk-count guard.
     std::uint64_t max_partition = 0;
-    {
-        const Phase first = workload.phase(0);
-        for (const auto &work : first.perGpu) {
-            for (const auto &output : work.allOutputs())
-                max_partition = std::max(max_partition,
-                                         output.bytesProduced);
-        }
-    }
+    for (const std::uint64_t bytes : workload.peakBytesProduced())
+        max_partition = std::max(max_partition, bytes);
 
     // Enumerate the candidate space up front so serial and parallel
     // sweeps measure the identical list in the identical order.

@@ -9,6 +9,9 @@ namespace proact {
 
 namespace {
 
+/** Sweep entries either side of the current config in a window. */
+constexpr int windowRadius = 2;
+
 /** Window of @p radius sweep entries around @p current's position. */
 template <typename T>
 std::vector<T>
@@ -71,25 +74,24 @@ AdaptiveReprofiler::narrowedOptions(const TransferConfig &around,
                                     const Options &options)
 {
     Profiler::Options opts;
-    opts.profileIterations = options.profileIterations;
+    opts.profileIterations = 1;
     opts.includeInline = false;
 
     opts.chunkSizes = options.chunkSizes.empty()
         ? windowAround(chunkSizeSweep(), around.chunkBytes,
-                       options.chunkRadius)
+                       windowRadius)
         : options.chunkSizes;
     opts.threadCounts = options.threadCounts.empty()
         ? windowAround(threadCountSweep(), around.transferThreads,
-                       options.threadRadius)
+                       windowRadius)
         : options.threadCounts;
 
-    if (!options.mechanisms.empty()) {
-        opts.mechanisms = options.mechanisms;
-    } else if (around.decoupled()) {
+    // Keep the current mechanism (cheapest): the granularity/thread
+    // shift is where most of the fault adaptation lives. An inline
+    // config keeps the default mechanism candidates instead — its
+    // adaptation point is switching to decoupled.
+    if (around.decoupled())
         opts.mechanisms = {around.mechanism};
-    }
-    // (Inline current: keep the default mechanism candidates — the
-    // adaptation point of an inline config is switching to decoupled.)
     return opts;
 }
 
@@ -129,8 +131,6 @@ AdaptiveReprofiler::refresh()
                static_cast<double>(result.entries.size()));
     _stats.inc("reprofile.sweep_ticks",
                static_cast<double>(result.sweepTicks));
-    if (_options.chargeTimeline)
-        _pendingCharge += result.sweepTicks;
 
     TransferConfig next = result.best;
     next.retry = _current.retry; // Policy is the runtime's, not swept.

@@ -43,38 +43,17 @@ class AdaptiveReprofiler
     using WorkloadFactory =
         std::function<std::unique_ptr<Workload>(int num_gpus)>;
 
+    /**
+     * Explicit sweep axes; when empty, a window of two entries either
+     * side of the current config's position in the paper sweeps
+     * (chunkSizeSweep() / threadCountSweep()) is used. Every sweep
+     * runs one iteration per candidate and keeps a decoupled
+     * config's mechanism.
+     */
     struct Options
     {
-        /** Iterations per candidate in the online sweep. */
-        int profileIterations = 1;
-
-        /**
-         * Explicit sweep axes; when empty, a window of this radius
-         * around the current config's position in the paper sweeps is
-         * used (index +- radius in chunkSizeSweep() /
-         * threadCountSweep()).
-         */
         std::vector<std::uint64_t> chunkSizes;
         std::vector<std::uint32_t> threadCounts;
-        int chunkRadius = 2;
-        int threadRadius = 2;
-
-        /**
-         * Mechanisms to re-consider; empty = keep the current
-         * mechanism (cheapest) — the granularity/thread shift is
-         * where most of the fault adaptation lives.
-         */
-        std::vector<TransferMechanism> mechanisms;
-
-        /**
-         * Charge each narrowed sweep's simulated cost (the sum of
-         * its candidate measurements) to the live run's timeline:
-         * after a refresh the runtime stalls for the sweep's cost at
-         * the region boundary, exposing the adaptation-latency
-         * trade-off instead of re-profiling for free. Off by
-         * default; off preserves historical timings.
-         */
-        bool chargeTimeline = false;
     };
 
     /**
@@ -94,11 +73,11 @@ class AdaptiveReprofiler
 
     /**
      * Narrowed sweep space centred on @p around: the window of
-     * chunk sizes / thread counts (index +- radius in the paper
-     * sweeps) and the mechanism set @p options describes, with
-     * inline excluded. Shared machinery: the reprofiler adds the
-     * observed fault state on top, and the fleet strategy elector
-     * uses it as-is for cache-miss elections.
+     * chunk sizes / thread counts @p options describes, around's
+     * mechanism when it is decoupled (the default mechanism set
+     * otherwise), with inline excluded. Shared machinery: the
+     * reprofiler adds the observed fault state on top, and the fleet
+     * strategy elector uses it for cache-miss elections.
      */
     static Profiler::Options narrowedOptions(
         const TransferConfig &around, const Options &options);
@@ -120,23 +99,10 @@ class AdaptiveReprofiler
     bool dirty() const { return _dirty; }
 
     /**
-     * Sweep cost accrued since the last consume (non-zero only with
-     * chargeTimeline). The runtime drains this at the region
-     * boundary and advances its timeline by the returned amount.
-     */
-    Tick
-    consumeChargeTicks()
-    {
-        const Tick charge = _pendingCharge;
-        _pendingCharge = 0;
-        return charge;
-    }
-
-    /**
      * Stats: reprofile.sweeps (narrowed sweeps run), reprofile.swaps
      * (sweeps that changed the config), reprofile.candidates
      * (configurations measured online), reprofile.sweep_ticks
-     * (simulated cost of all sweeps, charged or not).
+     * (simulated cost of all sweeps; the live run is not charged).
      */
     StatSet &stats() { return _stats; }
     const StatSet &stats() const { return _stats; }
@@ -148,7 +114,6 @@ class AdaptiveReprofiler
     Options _options;
     StatSet _stats;
     bool _dirty = false;
-    Tick _pendingCharge = 0;
 
     Profiler::Options sweepOptions() const;
 };

@@ -43,10 +43,6 @@ ProactRuntime::run(Workload &workload)
                    _options.firstIteration, " outside [0, ",
                    iterations, "]");
     }
-    if (_options.checkpoint.enabled &&
-        _options.checkpoint.interval < 1) {
-        fatalError("ProactRuntime: checkpoint interval must be >= 1");
-    }
 
     const TrafficProfile traffic = workload.traffic();
     _atomicFanout = workload.footprintScale();
@@ -56,24 +52,9 @@ ProactRuntime::run(Workload &workload)
          ++iter) {
         // Region boundary: adopt a re-profiled config before the next
         // iteration launches (mid-iteration state is never disturbed).
-        if (_options.reprofiler) {
-            if (_options.reprofiler->refresh()) {
-                _options.config = _options.reprofiler->current();
-                _stats.inc("config_swaps");
-            }
-            // When the reprofiler charges its narrowed sweep, the
-            // adaptation latency lands on this run's timeline — the
-            // run stalls at the boundary while the sweep's transfers
-            // would occupy the (idle) fabric. A sweep that ends up
-            // keeping the current config still cost its measurements,
-            // so the charge is consumed outside the refresh() branch.
-            const Tick charge =
-                _options.reprofiler->consumeChargeTicks();
-            if (charge > 0) {
-                _stats.inc("reprofile.charged_ticks",
-                           static_cast<double>(charge));
-                advanceTimeline(charge);
-            }
+        if (_options.reprofiler && _options.reprofiler->refresh()) {
+            _options.config = _options.reprofiler->current();
+            _stats.inc("config_swaps");
         }
         const Phase phase = workload.phase(iter);
         if (_system.numGpus() == 1)
@@ -93,15 +74,14 @@ ProactRuntime::run(Workload &workload)
         }
 
         _completedIterations = iter + 1;
-        if (_options.checkpoint.enabled &&
-            (iter + 1) % _options.checkpoint.interval == 0) {
+        if (_options.checkpoint) {
             _checkpointIteration = iter;
             ++_checkpoints;
-            _checkpointTicks += _options.checkpoint.cost;
+            _checkpointTicks += checkpointCost;
             _stats.inc("checkpoints");
             _stats.inc("checkpoint_ticks",
-                       static_cast<double>(_options.checkpoint.cost));
-            advanceTimeline(_options.checkpoint.cost);
+                       static_cast<double>(checkpointCost));
+            advanceTimeline(checkpointCost);
         }
     }
     // A loss declared after the last boundary check (e.g. during the
@@ -122,8 +102,6 @@ ProactRuntime::run(Workload &workload)
 void
 ProactRuntime::advanceTimeline(Tick cost)
 {
-    if (cost == 0)
-        return;
     // Bounded drain: concurrent machinery (fault boundaries,
     // watchdog beats) observes the span, but events past the window
     // stay queued — a run() here would pull a far-future device-loss

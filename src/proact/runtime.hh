@@ -36,6 +36,9 @@ class AdaptiveReprofiler;
 class ProactRuntime : public Runtime
 {
   public:
+    /** Simulated cost of writing (or restoring) one checkpoint. */
+    static constexpr Tick checkpointCost = 50 * ticksPerMicrosecond;
+
     struct Options
     {
         TransferConfig config;
@@ -54,15 +57,21 @@ class ProactRuntime : public Runtime
          * boundary; when a link-state change is pending, the
          * reprofiler's narrowed sweep runs and the winning config is
          * hot-swapped in for the following iterations (stat
-         * "config_swaps"). Not owned; may be nullptr. When the
-         * reprofiler charges its sweeps (chargeTimeline), the sweep
-         * cost advances this run's timeline too (stat
-         * "reprofile.charged_ticks").
+         * "config_swaps"). Not owned; may be nullptr.
          */
         AdaptiveReprofiler *reprofiler = nullptr;
 
-        /** Iteration-boundary checkpoints (see CheckpointPolicy). */
-        CheckpointPolicy checkpoint;
+        /**
+         * Iteration-boundary checkpointing. Region boundaries are
+         * the only points where no chunk is mid-flight (the paper's
+         * sys-scope release flushes all PROACT buffers there), so a
+         * checkpoint taken at one is consistent by construction: the
+         * runtime charges checkpointCost to the simulated timeline
+         * after every iteration. After a device loss, a job restarts
+         * from the latest checkpointed iteration (firstIteration)
+         * instead of from zero.
+         */
+        bool checkpoint = false;
 
         /**
          * First iteration to execute (a recovery restart resumes at

@@ -62,11 +62,11 @@ MultiGpuSystem::wireDeviceWatchdog()
 }
 
 DeviceHealthMonitor &
-MultiGpuSystem::enableDeviceHealth(DeviceHealthPolicy policy)
+MultiGpuSystem::enableDeviceHealth()
 {
     if (!_deviceHealth) {
-        _deviceHealth = std::make_unique<DeviceHealthMonitor>(
-            _eq, *_fabric, policy);
+        _deviceHealth =
+            std::make_unique<DeviceHealthMonitor>(_eq, *_fabric);
         // A LOST declaration quiesces the fabric and shadows the loss
         // into the link monitor (forcing every touching link DOWN,
         // which push-invalidates the rerouter's plan cache). External
@@ -95,12 +95,12 @@ MultiGpuSystem::enableHealth(HealthPolicy policy)
 }
 
 Rerouter &
-MultiGpuSystem::enableReroute(ReroutePolicy policy)
+MultiGpuSystem::enableReroute()
 {
     if (!_rerouter) {
         enableHealth();
-        _rerouter = std::make_unique<Rerouter>(_eq, *_fabric,
-                                               *_health, policy);
+        _rerouter =
+            std::make_unique<Rerouter>(_eq, *_fabric, *_health);
         // The monitor's transition fan-out drives the plan cache:
         // wire transitions evict exactly the plans that read the
         // link, so quiet-fabric sends are served by a flag check.

@@ -119,7 +119,7 @@ class MultiGpuSystem
      * collectives and DMA engines detour around DOWN links and split
      * traffic across DEGRADED ones. Idempotent.
      */
-    Rerouter &enableReroute(ReroutePolicy policy = {});
+    Rerouter &enableReroute();
 
     /** The health monitor, or nullptr when disabled. */
     LinkHealthMonitor *health() { return _health.get(); }
@@ -133,10 +133,9 @@ class MultiGpuSystem
      * touching it DOWN — which push-invalidates the rerouter's plan
      * cache. External layers (the harness's abort path, the fleet's
      * recovery policy) observe the same declaration via
-     * deviceHealth()->addListener. Idempotent; the first policy wins.
+     * deviceHealth()->addListener. Idempotent.
      */
-    DeviceHealthMonitor &enableDeviceHealth(
-        DeviceHealthPolicy policy = {});
+    DeviceHealthMonitor &enableDeviceHealth();
 
     /** The device watchdog, or nullptr when disabled. */
     DeviceHealthMonitor *deviceHealth() { return _deviceHealth.get(); }

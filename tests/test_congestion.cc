@@ -115,7 +115,7 @@ TEST(CongestionTest, PureCongestionIsNotAWireFault)
     // wire: CONGESTED, with the bandwidth EWMA unharmed.
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Congested);
     EXPECT_GT(mon.ewmaQueueRatio(0, 1),
-              mon.policy().congestedQueueRatio);
+              LinkHealthMonitor::congestedQueueRatio);
     EXPECT_DOUBLE_EQ(mon.residualFraction(0, 1), 1.0);
     EXPECT_EQ(mon.stats().get("health.wire_transitions"), 0.0);
     EXPECT_GT(mon.stats().get("health.to_congested"), 0.0);
@@ -208,7 +208,7 @@ TEST(CongestionTest, EqualMagnitudeWireFaultTripsDegradedAndReroutes)
 
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Degraded);
     EXPECT_LT(mon.residualFraction(0, 1),
-              mon.policy().degradedBwFraction);
+              LinkHealthMonitor::degradedBwFraction);
     EXPECT_GT(degraded_at, 0u);
     EXPECT_TRUE(plan_recomputed_at_transition);
     EXPECT_GE(mon.stats().get("health.wire_transitions"), 1.0);
@@ -244,10 +244,10 @@ TEST(CongestionTest, WireVerdictWinsWhenCongestionOverlapsAFault)
 
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Degraded);
     EXPECT_LT(mon.residualFraction(0, 1),
-              mon.policy().degradedBwFraction);
+              LinkHealthMonitor::degradedBwFraction);
     // The congestion signal was genuinely present and tracked...
     EXPECT_GT(mon.ewmaQueueRatio(0, 1),
-              mon.policy().congestedQueueRatio);
+              LinkHealthMonitor::congestedQueueRatio);
     // ...but the classification came from the wire component.
     EXPECT_GE(mon.stats().get("health.wire_transitions"), 1.0);
 }
@@ -295,7 +295,8 @@ TEST(CongestionTest, CongestionClearsWithoutDisturbingPlansOrProfiles)
 
     // The link visited CONGESTED and came back — and nothing else.
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Healthy);
-    EXPECT_LT(mon.ewmaQueueRatio(0, 1), mon.policy().clearQueueRatio);
+    EXPECT_LT(mon.ewmaQueueRatio(0, 1),
+              LinkHealthMonitor::clearQueueRatio);
     int congested = 0;
     int healthy = 0;
     for (const auto &t : mon.transitions()) {
@@ -465,20 +466,19 @@ namespace {
 
 /**
  * Fixed-state provider for routing unit tests: every link HEALTHY
- * except an explicit list, with per-link queue ratios.
+ * except an explicit list.
  */
 class ScriptedLinkState : public LinkStateProvider
 {
   public:
-    void set(int src, int dst, LinkState state, double queue_ratio = 0.0)
+    void set(int src, int dst, LinkState state)
     {
-        _states[key(src, dst)] = state;
-        _ratios[key(src, dst)] = queue_ratio;
+        _states[1000L * src + dst] = state;
     }
 
     LinkState linkState(int src, int dst) const override
     {
-        const auto it = _states.find(key(src, dst));
+        const auto it = _states.find(1000L * src + dst);
         return it == _states.end() ? LinkState::Healthy : it->second;
     }
 
@@ -487,16 +487,8 @@ class ScriptedLinkState : public LinkStateProvider
         return linkState(src, dst) == LinkState::Down ? 0.0 : 1.0;
     }
 
-    double queueRatio(int src, int dst) const override
-    {
-        const auto it = _ratios.find(key(src, dst));
-        return it == _ratios.end() ? 0.0 : it->second;
-    }
-
   private:
-    static long key(int src, int dst) { return 1000L * src + dst; }
     std::map<long, LinkState> _states;
-    std::map<long, double> _ratios;
 };
 
 /** Fraction carried via relay @p via in @p plan (0 if absent). */
@@ -511,48 +503,24 @@ relayFraction(const std::vector<Rerouter::Leg> &plan, int via)
 
 } // namespace
 
-TEST(QueueWeightedReroute, FlatPenaltyTreatsAllBacklogsAlike)
+TEST(CongestedReroute, CongestedRelayTakesHalfAQuietRelaysShare)
 {
-    // Direct 0->1 is DOWN on a 4-GPU fabric; relays 2 and 3 are both
-    // CONGESTED on their first hop but with very different backlogs.
+    // Direct 0->1 is DOWN on a 4-GPU fabric; relay 2 is CONGESTED on
+    // its first hop, relay 3 is quiet. Spread-don't-detour: the
+    // congested relay still carries payload, at the flat penalty's
+    // half weight.
     EventQueue eq;
     FabricSpec spec = sharedVolta().fabric;
     Interconnect fabric(eq, spec, 4);
     ScriptedLinkState health;
     health.set(0, 1, LinkState::Down);
-    health.set(0, 2, LinkState::Congested, 1.0);
-    health.set(0, 3, LinkState::Congested, 4.0);
+    health.set(0, 2, LinkState::Congested);
 
-    ReroutePolicy flat;
-    flat.queueWeightedCongestion = false;
-    Rerouter rr(eq, fabric, health, flat);
+    Rerouter rr(eq, fabric, health);
     const auto &plan = rr.plan(0, 1);
     ASSERT_EQ(plan.size(), 2u);
-    // The flat congestedPenalty cannot tell a barely-congested relay
-    // from a drowning one: both get the same share.
-    EXPECT_DOUBLE_EQ(relayFraction(plan, 2), relayFraction(plan, 3));
-}
-
-TEST(QueueWeightedReroute, QueueWeightShedsLoadFromDeepBacklogs)
-{
-    EventQueue eq;
-    FabricSpec spec = sharedVolta().fabric;
-    Interconnect fabric(eq, spec, 4);
-    ScriptedLinkState health;
-    health.set(0, 1, LinkState::Down);
-    health.set(0, 2, LinkState::Congested, 1.0);
-    health.set(0, 3, LinkState::Congested, 4.0);
-
-    ReroutePolicy weighted;
-    weighted.queueWeightedCongestion = true;
-    Rerouter rr(eq, fabric, health, weighted);
-    const auto &plan = rr.plan(0, 1);
-    ASSERT_EQ(plan.size(), 2u);
-    const double quiet = relayFraction(plan, 2);
-    const double deep = relayFraction(plan, 3);
-    // Scores divide by (1 + queueRatio): relay 2 weighs 1/2, relay 3
-    // weighs 1/5, so the split is 5:2 toward the shallower queue.
-    EXPECT_GT(quiet, deep);
-    EXPECT_NEAR(quiet / deep, 2.5, 1e-9);
-    EXPECT_NEAR(quiet + deep, 1.0, 1e-9);
+    const double congested = relayFraction(plan, 2);
+    const double quiet = relayFraction(plan, 3);
+    EXPECT_NEAR(quiet / congested, 2.0, 1e-9);
+    EXPECT_NEAR(quiet + congested, 1.0, 1e-9);
 }

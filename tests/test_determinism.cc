@@ -184,8 +184,7 @@ TEST(Determinism, DeviceLossRecoveryReplays)
         options.health = true;
         options.reroute = true;
         options.deviceHealth = true;
-        options.checkpoint.enabled = true;
-        options.checkpoint.interval = 1;
+        options.checkpoint = true;
         const ParadigmRun r = session.run(
             *workload, Paradigm::ProactDecoupled, options);
         EXPECT_TRUE(r.aborted);

@@ -35,7 +35,7 @@ constexpr int numGpus = 16;
 void
 killLink(LinkHealthMonitor &mon, int src, int dst)
 {
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(src, dst);
     ASSERT_EQ(mon.linkState(src, dst), LinkState::Down);
 }
@@ -44,7 +44,7 @@ killLink(LinkHealthMonitor &mon, int src, int dst)
 void
 reviveLink(LinkHealthMonitor &mon, int src, int dst)
 {
-    for (int i = 0; i < mon.policy().recoverAfterDeliveries + 1; ++i)
+    for (int i = 0; i <= LinkHealthMonitor::recoverAfterDeliveries; ++i)
         mon.recordDelivery(src, dst, 64 * KiB, 0, 1);
     ASSERT_EQ(mon.linkState(src, dst), LinkState::Healthy);
 }

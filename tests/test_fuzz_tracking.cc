@@ -231,7 +231,7 @@ TEST_P(Dgx2FaultFuzz, MixedDeviceLossAndFlappingLeaveNoFlights)
         system.enableHealth();
         system.enableReroute();
         system.fabric().setRebooking(true);
-        system.enableDeviceHealth({});
+        system.enableDeviceHealth();
 
         LinkLifecycleOptions flaps;
         flaps.downProbability = 0.5;
@@ -337,7 +337,7 @@ TEST_P(PairwiseFaultFuzz, FaultsLeaveNoFlightsOrRetries)
         system.enableHealth();
         system.enableReroute();
         system.fabric().setRebooking(true);
-        system.enableDeviceHealth({});
+        system.enableDeviceHealth();
 
         LinkLifecycleOptions flaps;
         flaps.downProbability = 0.5;

@@ -82,7 +82,7 @@ TEST(LinkHealthTest, LossStreakBelowThresholdDoesNotFlap)
 {
     MultiGpuSystem system(voltaPlatform());
     LinkHealthMonitor &mon = system.enableHealth();
-    const int threshold = mon.policy().downAfterLosses;
+    const int threshold = LinkHealthMonitor::downAfterLosses;
     ASSERT_GE(threshold, 2);
 
     // One short of the streak: still healthy, no transition recorded.
@@ -111,11 +111,10 @@ TEST(LinkHealthTest, OneSlowDeliveryDoesNotDegrade)
 {
     MultiGpuSystem system(voltaPlatform());
     LinkHealthMonitor &mon = system.enableHealth();
-    const HealthPolicy &policy = mon.policy();
 
     // Prime the EWMA with nominal-speed samples (actual == 1 tick
     // makes the achieved fraction saturate at 1.0).
-    for (int i = 0; i < policy.minSamples; ++i)
+    for (int i = 0; i < LinkHealthMonitor::minSamples; ++i)
         mon.recordDelivery(0, 1, 64 * KiB, 0, 1);
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Healthy);
 
@@ -129,7 +128,8 @@ TEST(LinkHealthTest, OneSlowDeliveryDoesNotDegrade)
     for (int i = 0; i < 16; ++i)
         mon.recordDelivery(0, 1, 64 * KiB, 0, ticksPerSecond);
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Degraded);
-    EXPECT_LT(mon.residualFraction(0, 1), policy.degradedBwFraction);
+    EXPECT_LT(mon.residualFraction(0, 1),
+              LinkHealthMonitor::degradedBwFraction);
 }
 
 TEST(LinkHealthTest, DegradedRecoveryRequiresStreakAndBandwidth)
@@ -188,7 +188,7 @@ TEST(LinkHealthTest, DownDetectionLatencyIsBounded)
     // Only 0->1 deliveries are lost, so the monitor's loss count at
     // the transition is the detection latency in observations.
     EXPECT_EQ(losses_at_down, static_cast<std::uint64_t>(
-                                  mon.policy().downAfterLosses));
+                                  LinkHealthMonitor::downAfterLosses));
     // Drops are observed when the transfer is booked (cut-through
     // fabric), so detection can land at the submission tick itself —
     // only the upper bound is meaningful.
@@ -283,7 +283,6 @@ TEST(LinkHealthTest, ProbingGivesUpOnAPermanentlyDeadLink)
     HealthHarness h((voltaPlatform()));
     HealthPolicy policy;
     policy.probeInterval = 5 * ticksPerMicrosecond;
-    policy.maxProbeFailures = 4;
     LinkHealthMonitor &mon = h.system.enableHealth(policy);
 
     FaultPlan plan;
@@ -298,7 +297,7 @@ TEST(LinkHealthTest, ProbingGivesUpOnAPermanentlyDeadLink)
     EXPECT_EQ(mon.linkState(0, 1), LinkState::Down);
     EXPECT_GT(mon.stats().get("health.probes"), 0.0);
     EXPECT_LE(mon.stats().get("health.probes"),
-              static_cast<double>(policy.maxProbeFailures));
+              LinkHealthMonitor::maxProbeFailures);
 }
 
 TEST(LinkHealthTest, ToFaultPlanMirrorsObservedState)
@@ -306,7 +305,7 @@ TEST(LinkHealthTest, ToFaultPlanMirrorsObservedState)
     MultiGpuSystem system(voltaPlatform());
     LinkHealthMonitor &mon = system.enableHealth();
 
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(0, 1);
     for (int i = 0; i < 16; ++i)
         mon.recordDelivery(2, 3, 64 * KiB, 0, ticksPerSecond);
@@ -334,7 +333,7 @@ TEST(RerouterTest, PlansDetourAroundDownLink)
     ASSERT_EQ(legs.size(), 1u);
     EXPECT_TRUE(legs[0].direct());
 
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(0, 1);
     legs = rr.plan(0, 1);
     // On 4 GPUs both healthy relays (2 and 3) survive, so the detour
@@ -540,7 +539,7 @@ TEST(RerouterTest, PushInvalidatesExactlyOncePerWireTransition)
 
     // Wire round trip: HEALTHY -> DOWN -> HEALTHY. Each wire
     // transition invalidates exactly once — the counters stay equal.
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(0, 1);
     ASSERT_EQ(mon.linkState(0, 1), LinkState::Down);
     EXPECT_EQ(rr.stats().get("reroute.push_invalidations"),
@@ -614,7 +613,7 @@ TEST(ReprofilerTest, RefreshOnlyAfterLinkStateChange)
     EXPECT_DOUBLE_EQ(reprofiler.stats().get("reprofile.sweeps"), 0.0);
 
     // A link dies: the next refresh runs a narrowed sweep.
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(0, 1);
     EXPECT_TRUE(reprofiler.dirty());
     reprofiler.refresh();

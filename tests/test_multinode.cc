@@ -45,7 +45,7 @@ namespace {
 void
 killLink(LinkHealthMonitor &mon, int src, int dst)
 {
-    for (int i = 0; i < mon.policy().downAfterLosses; ++i)
+    for (int i = 0; i < LinkHealthMonitor::downAfterLosses; ++i)
         mon.recordLoss(src, dst);
     ASSERT_EQ(mon.linkState(src, dst), LinkState::Down);
 }
@@ -354,7 +354,7 @@ TEST_P(MultiNodeFaultFuzz, InterNodeFlapsAndDeviceLossLeaveNoFlights)
         // so the leaked-flight check below has flights to count.
         system.fabric().setRebooking(true);
         system.enableReroute();
-        system.enableDeviceHealth({});
+        system.enableDeviceHealth();
 
         // Two flapping inter-node links (one per direction of the
         // node boundary) and one unconditional device loss.

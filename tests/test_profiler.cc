@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace proact;
 using proact::test::ToyWorkload;
 
@@ -104,6 +106,40 @@ TEST(Profiler, ChunkCountGuardSkipsPathologicalConfigs)
     EXPECT_EQ(result.entries.size(), 4u); // 2 mech x 1 chunk x 2 thr.
     for (const auto &entry : result.entries)
         EXPECT_EQ(entry.config.chunkBytes, 1 * MiB);
+}
+
+TEST(Profiler, ChunkCountGuardCoversEveryIterationsPartition)
+{
+    // ALS partitions users in even iterations and items in odd ones:
+    // with 16x more items, the odd partition holds the per-GPU peak
+    // (~32 kB of item factors against ~2 kB of user factors).
+    AlsWorkload::Params params;
+    params.numUsers = 1 << 8;
+    params.numItems = 1 << 12;
+    params.numRatings = 1 << 13;
+    params.iterations = 2;
+    AlsWorkload workload(params);
+    workload.setup(4);
+
+    auto options = tinyOptions();
+    options.chunkSizes = {4 * KiB, 64 * KiB};
+    // The user partition fits in one 4 kB chunk, the item partition
+    // needs eight: only a guard sized from the odd iteration prunes
+    // the 4 kB point.
+    options.maxChunksPerGpu = 4;
+    std::uint64_t even = 0, peak = 0;
+    for (const auto &work : workload.phase(0).perGpu)
+        even = std::max(even, work.totalBytesProduced());
+    for (const std::uint64_t bytes : workload.peakBytesProduced())
+        peak = std::max(peak, bytes);
+    ASSERT_LE(even / (4 * KiB), 4u);
+    ASSERT_GT(peak / (4 * KiB), 4u);
+
+    Profiler profiler(voltaPlatform(), options);
+    const ProfileResult result = profiler.profile(workload);
+    EXPECT_EQ(result.entries.size(), 4u); // 2 mech x 1 chunk x 2 thr.
+    for (const auto &entry : result.entries)
+        EXPECT_EQ(entry.config.chunkBytes, 64 * KiB);
 }
 
 TEST(Profiler, RejectsGpuCountMismatch)

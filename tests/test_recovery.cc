@@ -3,7 +3,7 @@
  * Tests for device-loss tolerance: GpuDown fault episodes and seeded
  * device-MTBF campaigns, the fabric's dead-endpoint refuse/quiesce
  * paths, the device heartbeat watchdog's hysteresis, checkpointed
- * abort/resume through the harness, reprofile-sweep timeline
+ * abort/resume through the harness, election-sweep timeline
  * charging, and the fleet layer's quarantine -> shrink -> restart
  * recovery pipeline.
  */
@@ -15,8 +15,6 @@
 #include "harness/session.hh"
 #include "health/device_health.hh"
 #include "proact/config.hh"
-#include "proact/reprofiler.hh"
-#include "proact/runtime.hh"
 #include "sim/logging.hh"
 #include "system/multi_gpu_system.hh"
 #include "system/platform.hh"
@@ -27,7 +25,6 @@
 #include <algorithm>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 using namespace proact;
@@ -267,14 +264,14 @@ TEST(RecoveryWatchdog, PermanentLossIsDeclaredWithHysteresis)
 
 TEST(RecoveryWatchdog, TransientOutageRecoversWithoutLost)
 {
+    // 5us beat, lost after 3 misses.
     MultiGpuSystem system(voltaPlatform());
-    const DeviceHealthPolicy policy; // 5us beat, lost after 3 misses.
 
     // Down for ~1.5 beats: enough to turn SUSPECT, never LOST.
     FaultPlan plan;
     plan.downGpu(12 * us, 19 * us, 1);
     system.installFaults(std::move(plan));
-    DeviceHealthMonitor &mon = system.enableDeviceHealth(policy);
+    DeviceHealthMonitor &mon = system.enableDeviceHealth();
 
     system.run();
 
@@ -292,7 +289,7 @@ TEST(RecoveryWatchdog, TransientOutageRecoversWithoutLost)
 
 TEST(RecoverySession, CheckpointsChargeTheTimeline)
 {
-    auto run_once = [](const CheckpointPolicy &checkpoint) {
+    auto run_once = [](bool checkpoint) {
         auto workload = makeSmallWorkload("Jacobi");
         workload->setup(4);
         Session session(voltaPlatform());
@@ -303,26 +300,16 @@ TEST(RecoverySession, CheckpointsChargeTheTimeline)
                            options);
     };
 
-    const ParadigmRun off = run_once({});
+    const ParadigmRun off = run_once(false);
     EXPECT_EQ(off.checkpoints, 0);
     EXPECT_EQ(off.checkpointTicks, Tick{0});
 
-    CheckpointPolicy every;
-    every.enabled = true;
-    every.interval = 1;
-    every.cost = 50 * us;
-    const ParadigmRun on = run_once(every);
+    const ParadigmRun on = run_once(true);
     EXPECT_EQ(on.checkpoints, 4); // One per Jacobi iteration.
     EXPECT_EQ(on.checkpointIteration, 3);
     EXPECT_EQ(on.checkpointTicks, Tick{4 * 50 * us});
     // The charge is real simulated time, not a side counter.
     EXPECT_EQ(on.ticks, off.ticks + 4 * 50 * us);
-
-    CheckpointPolicy sparse = every;
-    sparse.interval = 3;
-    const ParadigmRun few = run_once(sparse);
-    EXPECT_EQ(few.checkpoints, 1); // After iteration index 2 only.
-    EXPECT_EQ(few.checkpointIteration, 2);
 }
 
 TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
@@ -334,13 +321,9 @@ TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
     };
     Session session(voltaPlatform());
 
-    CheckpointPolicy every;
-    every.enabled = true;
-    every.interval = 1;
-
     Session::RunOptions clean;
     clean.config = decoupledConfig();
-    clean.checkpoint = every;
+    clean.checkpoint = true;
     const ParadigmRun healthy = session.run(
         *make(), Paradigm::ProactDecoupled, clean);
     ASSERT_FALSE(healthy.aborted);
@@ -357,7 +340,7 @@ TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
     EXPECT_TRUE(lost.aborted);
     EXPECT_EQ(lost.lostGpu, 3);
     EXPECT_LT(lost.completedIterations, 4);
-    // Interval-1 checkpoints cover every completed iteration.
+    // Per-iteration checkpoints cover every completed iteration.
     EXPECT_EQ(lost.checkpointIteration, lost.completedIterations - 1);
     EXPECT_GT(lost.refusedDeliveries + lost.orphanedTransfers
                   + lost.quiescedFlights,
@@ -379,62 +362,6 @@ TEST(RecoverySession, DeviceLossAbortsAndResumesFromCheckpoint)
     EXPECT_THROW(session.run(*make(), Paradigm::ProactDecoupled,
                              bogus),
                  FatalError);
-}
-
-TEST(RecoveryReprofile, SweepChargeLandsOnTheTimeline)
-{
-    auto run_once = [](bool charge) {
-        auto workload = makeSmallWorkload("Jacobi");
-        workload->setup(4);
-
-        MultiGpuSystem system(voltaPlatform());
-        system.enableHealth();
-        FaultPlan plan;
-        plan.downLink(0, maxTick, 0, 1);
-        system.installFaults(std::move(plan));
-
-        auto factory = [](int gpus) {
-            auto w = makeSmallWorkload("Jacobi");
-            w->setup(gpus);
-            return w;
-        };
-        TransferConfig initial = decoupledConfig();
-        initial.retry = testRetry();
-        AdaptiveReprofiler::Options ropts;
-        ropts.chargeTimeline = charge;
-        AdaptiveReprofiler reprofiler(system, factory, initial,
-                                      ropts);
-
-        ProactRuntime::Options options;
-        options.config = initial;
-        options.reprofiler = &reprofiler;
-        ProactRuntime runtime(system, options);
-        const Tick ticks = runtime.run(*workload);
-        return std::tuple<Tick, Tick, double>(
-            ticks,
-            static_cast<Tick>(
-                runtime.stats().get("reprofile.charged_ticks")),
-            reprofiler.stats().get("reprofile.sweep_ticks"));
-    };
-
-    const auto [free_ticks, free_charged, free_swept] =
-        run_once(false);
-    EXPECT_EQ(free_charged, Tick{0});
-    EXPECT_GT(free_swept, 0.0); // Sweeps ran but cost nothing.
-
-    const auto [paid_ticks, paid_charged, paid_swept] =
-        run_once(true);
-    EXPECT_GT(paid_swept, 0.0);
-    EXPECT_GT(paid_charged, Tick{0});
-    // Charging makes the run strictly longer, by at least the
-    // first boundary's sweep (later sweeps may differ once the
-    // timeline shifts).
-    EXPECT_GT(paid_ticks, free_ticks);
-
-    // Deterministic under replay, charge included.
-    const auto again = run_once(true);
-    EXPECT_EQ(std::get<0>(again), paid_ticks);
-    EXPECT_EQ(std::get<1>(again), paid_charged);
 }
 
 TEST(RecoveryFleet, ElectionSweepsChargeTenantsWhenAsked)
@@ -496,7 +423,6 @@ recoveryOptions(int victim, Tick loss_tick, int lost_gpu)
 {
     FleetSession::Options options;
     options.recovery.enabled = true;
-    options.recovery.checkpoint.interval = 1;
     options.faultPlanFor = [=](const JobSpec &job, int attempt) {
         FaultPlan plan;
         if (job.id == victim && attempt == 0)
@@ -517,8 +443,7 @@ TEST(RecoveryFleet, DeviceLossQuarantinesShrinksAndRestarts)
     {
         FleetSession::Options options;
         options.recovery.enabled = true;
-        options.recovery.checkpoint.interval = 1;
-        FleetSession session(voltaPlatform(), options);
+            FleetSession session(voltaPlatform(), options);
         const FleetReport clean = session.serve(jobs);
         ASSERT_EQ(clean.tenants.size(), 1u);
         EXPECT_TRUE(clean.recoveries.empty());
@@ -569,8 +494,7 @@ TEST(RecoveryFleet, MultiPlaneMachineRestartsAtFullWidth)
     {
         FleetSession::Options options;
         options.recovery.enabled = true;
-        options.recovery.checkpoint.interval = 1;
-        FleetSession session(dgx2Platform(), options);
+            FleetSession session(dgx2Platform(), options);
         clean_service =
             session.serve(jobs).tenants.at(0).serviceTicks;
     }
